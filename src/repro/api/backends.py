@@ -258,10 +258,16 @@ class _PoolWorker:
         handle, self.stderr_path = tempfile.mkstemp(
             prefix="repro-poolworker-", suffix=".log")
         self._stderr = os.fdopen(handle, "w")
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=self._stderr, text=True, env=_worker_env())
+        try:
+            self.process = subprocess.Popen(
+                [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=self._stderr, text=True, env=_worker_env())
+        except BaseException:
+            # A failed spawn must not strand the log fd or its file.
+            self._stderr.close()
+            os.remove(self.stderr_path)
+            raise
         self.last_beat = time.monotonic()
         self.killed_reason: str | None = None
         self.killed_preempted = False

@@ -299,7 +299,9 @@ class EventLog:
         ``timeout`` bounds the total silent wait: if no *new* event
         arrives within it the generator returns (the consumer may resume
         with ``after=<last seen seq>``).  With ``timeout=None`` the
-        stream blocks until the log closes.  ``embed_partial=False``
+        stream blocks until the log closes.  A log that is already
+        closed never blocks: with nothing past ``after`` the generator
+        returns at once.  ``embed_partial=False``
         yields ``shard_done`` events in their slim form
         (:meth:`AnalysisEvent.slim`).
         """
@@ -309,6 +311,8 @@ class EventLog:
         while True:
             with self._condition:
                 while len(self._events) <= index:
+                    if self._events and self._events[-1].terminal:
+                        return
                     remaining = (None if deadline is None
                                  else deadline - time.monotonic())
                     if remaining is not None and remaining <= 0:

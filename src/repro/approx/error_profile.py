@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .multipliers import MultiplierModel
 
@@ -39,6 +38,7 @@ class GaussianFit:
         """Normal density with the fitted parameters."""
         if self.std <= 0:
             return np.where(np.asarray(x) == self.mean, np.inf, 0.0)
+        from scipy import stats
         return stats.norm.pdf(x, loc=self.mean, scale=self.std)
 
 
@@ -109,6 +109,7 @@ def is_gaussian_like(errors: np.ndarray, *, pvalue_threshold: float = 1e-3,
     if np.allclose(errors, errors[0]):
         # Constant (e.g. exact multiplier): a degenerate Gaussian.
         return True, 1.0
+    from scipy import stats
     skew = float(stats.skew(errors))
     kurt = float(stats.kurtosis(errors))
     try:

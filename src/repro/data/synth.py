@@ -13,7 +13,6 @@ thickness, pixel noise, cluttered backgrounds), so that
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "render_digit", "render_garment", "synth_mnist_image",
@@ -146,6 +145,7 @@ def render_garment(label: int, size: int = 28) -> np.ndarray:
     image = np.zeros((size, size), dtype=np.float32)
     for primitive in GARMENT_PRIMITIVES[label]:
         image = np.maximum(image, _rasterise_primitive(primitive, px, py))
+    from scipy import ndimage
     return ndimage.gaussian_filter(image, 0.6).astype(np.float32)
 
 
@@ -163,6 +163,7 @@ def _random_affine(image: np.ndarray, rng: np.random.Generator, *,
     centre = np.array(image.shape, dtype=np.float64) / 2.0
     shift = rng.uniform(-max_shift, max_shift, size=2)
     offset = centre - matrix @ (centre + shift)
+    from scipy import ndimage
     return ndimage.affine_transform(image, matrix, offset=offset, order=1,
                                     mode="constant", cval=0.0)
 
@@ -239,6 +240,7 @@ def _shape_mask(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
 
 def _textured_background(size: int, rng: np.random.Generator,
                          hue: float) -> np.ndarray:
+    from scipy import ndimage
     noise = rng.normal(0.0, 1.0, (3, size, size))
     smooth = np.stack([ndimage.gaussian_filter(c, 2.5) for c in noise])
     smooth = (smooth - smooth.min()) / (np.ptp(smooth) + 1e-9)
@@ -256,6 +258,7 @@ def synth_cifar10_image(label: int, rng: np.random.Generator,
     shape, hue = _CIFAR_SHAPES[label], float(_CIFAR_HUES[label])
     image = _textured_background(size, rng, (hue + 0.45) % 1.0)
     mask = _shape_mask(shape, size, rng)
+    from scipy import ndimage
     mask = ndimage.gaussian_filter(mask, 0.6)
     colour = _hue_to_rgb(hue)[:, None, None] * rng.uniform(0.7, 1.0)
     image = image * (1.0 - mask) + colour * mask

@@ -35,7 +35,7 @@ def squash(s: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
         squared = np.einsum(f"{labels},{labels}->{out_labels}", data, data)
         squared = np.expand_dims(squared, axis)
         scale = squared / ((squared + 1.0) * np.sqrt(squared + eps))
-        return Tensor(data * scale.astype(np.float32), op="squash")
+        return Tensor(data * scale.astype(np.float32, copy=False), op="squash")
     squared = (s * s).sum(axis=axis, keepdims=True)
     norm = (squared + eps).sqrt()
     scale = squared / ((squared + 1.0) * norm)

@@ -22,7 +22,9 @@ CapsNet / MNIST       capsnet-micro       synth-mnist
 from __future__ import annotations
 
 import os
+import uuid
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,8 +91,11 @@ def get_trained(preset: str, dataset_name: str, *,
                 use_cache: bool = True) -> ZooEntry:
     """Return a trained model for (preset, dataset), training if uncached.
 
-    The dataset splits are regenerated deterministically (they are cheap);
-    only the weights are cached.
+    The dataset splits are regenerated deterministically; only the
+    weights are cached on disk.  Code that needs just the test split
+    (the :mod:`repro.api` service and its workers) goes through
+    :func:`default_test_split`, which synthesizes each split once per
+    process and shares it read-only.
     """
     channels, size, _ = dataset_image_shape(dataset_name)
     train_set, test_set = make_split(dataset_name, num_train, num_test,
@@ -110,9 +115,26 @@ def get_trained(preset: str, dataset_name: str, *,
     Trainer(model, config).fit(train_set)
     accuracy = evaluate_accuracy(model, test_set)
     if use_cache:
-        np.savez_compressed(path, **model.state_dict())
+        _save_weights(path, model.state_dict())
     return ZooEntry(preset, dataset_name, model, train_set, test_set,
                     accuracy, from_cache=False)
+
+
+def _save_weights(path: str, state: dict) -> None:
+    """Write ``state`` to ``path`` atomically.
+
+    Cold workers may train the same model at once; writing to a sibling
+    temp file and ``os.replace``-ing it means a concurrent
+    :func:`load_trained_model` sees either no file or a complete one.
+    """
+    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp_path, "wb") as stream:
+            np.savez_compressed(stream, **state)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
 
 
 def benchmark_entry(label: str) -> ZooEntry:
@@ -176,8 +198,22 @@ def default_test_split(dataset_name: str, *,
                        num_test: int = DEFAULT_NUM_TEST,
                        seed: int = DEFAULT_SEED) -> Dataset:
     """The zoo's deterministic test split, without generating the train
-    half (matches the ``make_split`` test stream exactly)."""
-    return make_dataset(dataset_name, num_test, seed=seed + 10_000)
+    half (matches the ``make_split`` test stream exactly).
+
+    Memoized per process on ``(dataset_name, num_test, seed)`` — the
+    same values :func:`default_test_descriptor` keys the result store
+    by — so models sharing a dataset synthesize it once.  The returned
+    ``images``/``labels`` are read-only because every caller shares them.
+    """
+    return _memo_test_split(dataset_name, num_test, seed)
+
+
+@lru_cache(maxsize=None)
+def _memo_test_split(dataset_name: str, num_test: int, seed: int) -> Dataset:
+    split = make_dataset(dataset_name, num_test, seed=seed + 10_000)
+    split.images.flags.writeable = False
+    split.labels.flags.writeable = False
+    return split
 
 
 def default_test_descriptor(dataset_name: str, *,

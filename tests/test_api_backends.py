@@ -17,6 +17,7 @@ Four kinds of armor:
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -345,3 +346,37 @@ class TestSubprocessBackend:
         finally:
             for module, value in saved:
                 module.routing_iterations = value
+
+
+class TestPoolWorkerSpawn:
+    def test_failed_spawn_releases_the_log_file(self, monkeypatch,
+                                                tmp_path):
+        """A ``Popen`` that raises must not strand the worker's log fd
+        or leave its temp file behind."""
+        from repro.api import backends
+        paths, streams = [], []
+        real_mkstemp = backends.tempfile.mkstemp
+        real_fdopen = os.fdopen
+
+        def recording_mkstemp(**kwargs):
+            handle, path = real_mkstemp(dir=str(tmp_path), **kwargs)
+            paths.append(path)
+            return handle, path
+
+        def recording_fdopen(*args, **kwargs):
+            stream = real_fdopen(*args, **kwargs)
+            streams.append(stream)
+            return stream
+
+        def failing_popen(*args, **kwargs):
+            raise OSError("spawn refused")
+
+        monkeypatch.setattr(backends.tempfile, "mkstemp", recording_mkstemp)
+        monkeypatch.setattr(backends.os, "fdopen", recording_fdopen)
+        monkeypatch.setattr(backends.subprocess, "Popen", failing_popen)
+        with pytest.raises(OSError, match="spawn refused"):
+            backends._PoolWorker()
+        [path], [stream] = paths, streams
+        assert stream.closed
+        assert not os.path.exists(path)
+        assert not os.listdir(tmp_path)

@@ -691,8 +691,12 @@ class TestEventsResumeAcrossRestart:
             client = RemoteService(second_life.address)
             resumed = client.submit(_zoo_request(seed=16))  # same job key
             assert resumed.status() == "cached"
+            started = time.monotonic()
             replay = list(resumed.events(after=last_seq))
             assert [e.kind for e in replay] == ["done"]     # terminal only
+            # A closed log never blocks a resuming reader: the terminal
+            # re-send fires at once, not after a long-poll slice.
+            assert time.monotonic() - started < 5.0
         finally:
             second_life.shutdown()
             service.close()
