@@ -9,11 +9,11 @@ with answers persisted content-addressed (:class:`ResultStore`) so
 repeated artifact runs are cache hits and mutated models auto-invalidate.
 *Where* a measurement executes is a pluggable backend
 (:mod:`repro.api.backends`): ``inline`` (blocking reference), ``threads``
-(cross-request parallelism), ``subprocess`` (schema-JSON workers),
-``procpool`` (persistent warm workers), or ``remote-pool`` (the same
-framed worker protocol over TCP to ``repro worker`` agents;
-:mod:`repro.api.cluster` adds the agent, a multi-node coordinator and
-shared :class:`ResultStore` layouts); large requests shard per target
+(cross-request parallelism), or one warm worker pool over two
+transports: ``procpool`` (persistent child processes) and
+``remote-pool`` (the same framed worker protocol over TCP to
+``repro worker`` agents; :mod:`repro.api.cluster` adds the agent, a
+multi-node coordinator and shared :class:`ResultStore` layouts); large requests shard per target
 (:mod:`repro.api.scheduler`) through a bounded priority queue
 (:class:`ShardQueue`, :class:`QueueFull` backpressure) and merge
 byte-identically.  Progress is first-class: handles stream typed
@@ -45,9 +45,10 @@ migration notes.
 from ..core.sweep import ExecutionOptions, SweepCancelled
 from .backends import (BACKEND_NAMES, BackendError, ChaosBackend,
                        ExecutionBackend, InlineBackend, ProcPoolBackend,
-                       SubprocessBackend, ThreadBackend, make_backend)
+                       RemotePoolBackend, ThreadBackend, make_backend,
+                       parse_worker_address)
 from .cluster import (ClusterCoordinator, CoordinatorServer, NodeUnreachable,
-                      RemotePoolBackend, WorkerAgent, parse_worker_address)
+                      WorkerAgent)
 from .events import (EVENT_KINDS, TERMINAL_EVENTS, AnalysisCancelled,
                      AnalysisEvent, CancelToken, EventLog)
 from .request import (NOISE_KINDS, SCHEMA_VERSION, AnalysisRequest,
@@ -73,7 +74,7 @@ __all__ = [
     "EVENT_KINDS", "TERMINAL_EVENTS", "AnalysisEvent", "EventLog",
     "CancelToken", "AnalysisCancelled", "SweepCancelled",
     "BACKEND_NAMES", "BackendError", "ExecutionBackend", "InlineBackend",
-    "ThreadBackend", "SubprocessBackend", "ProcPoolBackend", "ChaosBackend",
+    "ThreadBackend", "ProcPoolBackend", "ChaosBackend",
     "make_backend",
     "WorkerCrashed", "WorkerTimeout", "ShardPoisoned", "AttemptRecord",
     "RetryPolicy", "WorkerSupervisor", "ServiceHealth",

@@ -23,26 +23,15 @@ Four implementations:
     contaminate each other.  Results are bit-identical to ``inline``
     because every noise stream is derived statelessly per
     (seed, site, batch).
-``subprocess``
-    Each measurement runs in a fresh worker process
-    (``python -m repro.api.backends <result-path>``) that receives the
-    serialised :class:`AnalysisRequest` JSON on stdin and writes
-    :class:`AnalysisResult` JSON — the versioned schema exercised as a
-    real wire format.  Workers resolve benchmark/zoo refs themselves
-    (session refs cannot cross a process boundary and error loudly) and
-    run store-less; the parent owns persistence.
-``procpool``
-    Process isolation without the per-shard spin-up: a pool of
-    *persistent* worker processes (``python -m repro.api.backends
-    --pool-worker``) speaking the same request/result JSON, one framed
-    document per line over stdin/stdout.  Each worker keeps a store-less
-    in-process service alive between shards, so the ~1s interpreter
-    start-up, the zoo weight load *and* the engine's prefix-activation
-    cache are all paid once per worker instead of once per shard.  The
-    worker immediately re-points its ``stdout`` at ``stderr`` so
-    incidental prints (e.g. a zoo training run on a cold cache) can
-    never corrupt the protocol channel.  Crashed workers fail their
-    current shard loudly and are replaced on the next borrow.
+``procpool`` and ``remote-pool``
+    One warm worker pool (:class:`PoolBackend`) over two transports:
+    pipes to persistent ``python -m repro.api.backends --pool-worker``
+    children, or TCP to ``repro worker`` agents
+    (:mod:`repro.api.cluster`).  Both run one worker loop,
+    :func:`serve_frames`, around a store-less service that stays warm
+    between shards.  Workers resolve benchmark/zoo refs themselves
+    (session refs cannot cross a process boundary and error loudly);
+    the parent owns persistence.
 
 Progress contract: every ``submit`` accepts an optional ``on_start``
 callback invoked when the measurement *actually begins* (on the worker
@@ -54,7 +43,7 @@ the retryable :class:`~repro.api.resilience.WorkerCrashed` (or
 :class:`~repro.api.resilience.WorkerTimeout` when the supervision
 watchdog killed a worker past its ``ExecutionOptions.shard_timeout``
 deadline or with stale heartbeats), while deterministic refusals stay
-bare :class:`~repro.api.resilience.BackendError`.  Procpool workers
+bare :class:`~repro.api.resilience.BackendError`.  Pool workers
 heartbeat through every measurement so hung (not just dead) workers are
 detected and replaced; cumulative replacements surface as
 ``worker_restarts``.  ``chaos:<inner>`` (built via ``make_backend``
@@ -69,9 +58,12 @@ everywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
+import select
+import socket
 import subprocess
 import sys
 import tempfile
@@ -80,29 +72,30 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
-from .request import AnalysisRequest, AnalysisResult
+from .request import SCHEMA_VERSION, AnalysisRequest, AnalysisResult
 from .resilience import (BackendError, FaultPlan, WorkerCrashed,
                          WorkerPreempted, WorkerSupervisor, WorkerTimeout)
 
 __all__ = ["BACKEND_NAMES", "BackendError", "WorkerCrashed", "WorkerTimeout",
            "WorkerPreempted", "ExecutionBackend", "InlineBackend",
-           "ThreadBackend", "SubprocessBackend", "ProcPoolBackend",
-           "ChaosBackend", "make_backend"]
+           "ThreadBackend", "Channel", "PoolBackend", "ProcPoolBackend",
+           "RemotePoolBackend", "ChaosBackend", "make_backend",
+           "parse_worker_address", "serve_frames"]
 
 logger = logging.getLogger("repro.api.backends")
 
 #: Valid values of the service/CLI ``backend`` knob (each may also be
 #: wrapped as ``chaos:<name>`` together with a ``fault_plan``).
-#: ``remote-pool`` (see :mod:`repro.api.cluster`) additionally needs a
-#: ``workers=`` list of ``HOST:PORT`` agent addresses.
-BACKEND_NAMES: tuple[str, ...] = ("inline", "threads", "subprocess",
-                                  "procpool", "remote-pool")
+#: ``remote-pool`` additionally needs a ``workers=`` list of
+#: ``HOST:PORT`` agent addresses.
+BACKEND_NAMES: tuple[str, ...] = ("inline", "threads", "procpool",
+                                  "remote-pool")
 
 #: Default shard concurrency for the parallel backends when the caller
 #: does not pass ``max_parallel`` (bounded: sweeps are memory-hungry).
 DEFAULT_MAX_PARALLEL = max(2, min(4, os.cpu_count() or 1))
 
-#: Seconds between heartbeat frames a procpool worker emits while a
+#: Seconds between heartbeat frames a pool worker emits while a
 #: measurement is in flight (well under any sane supervision grace).
 HEARTBEAT_INTERVAL = 0.5
 
@@ -120,10 +113,20 @@ class ExecutionBackend:
     parallel: int = 1
     #: Whether this backend can terminate a running out-of-process
     #: measurement on a :class:`~repro.api.events.PreemptToken` set
-    #: (the procpool's supervisor kill path).  In-process backends leave
-    #: this False — their measurements observe the token cooperatively
+    #: (the worker pool's kill path).  In-process backends leave this
+    #: False — their measurements observe the token cooperatively
     #: through the sweep engine's checkpoints instead.
     supports_preempt: bool = False
+    #: Whether scripted chaos faults ride the wire and execute inside a
+    #: real worker (``submit(..., chaos=...)``; see :class:`ChaosBackend`).
+    chaos_rider: bool = False
+    #: Cumulative crashed/killed-worker replacements (pools count them).
+    worker_restarts: int = 0
+
+    def pool_snapshot(self) -> dict:
+        """Live worker-pool shape for health/queue surfaces (``{}``
+        when the backend owns no pool)."""
+        return {}
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
                on_start: Callable[[], None] | None = None) -> Future:
@@ -208,107 +211,120 @@ class ThreadBackend(ExecutionBackend):
             pool.shutdown(wait=True)
 
 
-def _reject_session_ref(backend_name: str, request: AnalysisRequest) -> None:
-    if request.model.session is not None:
-        raise BackendError(
-            f"the {backend_name} backend cannot serve session ref "
-            f"{request.model.key!r}: in-memory models do not cross a "
-            f"process boundary (use benchmark=/preset= refs, or the "
-            f"inline/threads backends)")
+def parse_worker_address(spec) -> tuple[str, int]:
+    """``"HOST:PORT"`` (or a ``(host, port)`` pair) → ``(host, port)``."""
+    if isinstance(spec, tuple):
+        host, port = spec
+        return str(host), int(port)
+    host, sep, port = str(spec).rpartition(":")
+    if not sep or not host or not port:
+        raise ValueError(f"worker address {spec!r} is not HOST:PORT")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise ValueError(f"worker address {spec!r} is not HOST:PORT "
+                         f"(port {port!r} is not an integer)") from None
 
 
-class SubprocessBackend(ExecutionBackend):
-    """One worker process per measurement, speaking schema-v1 JSON.
+class Channel:
+    """One framed connection to a warm worker, on either transport.
 
-    The dispatch threads only block on ``subprocess.run`` (no GIL
-    contention), so ``parallel`` workers genuinely overlap.  Workers are
-    hermetic: store-less, resolving the model from the shared zoo weight
-    cache (``REPRO_ZOO_DIR`` propagates through the environment).
+    ``reader``/``writer`` are text streams to a :func:`serve_frames`
+    loop.  The transport that opened the channel supplies ``sever``
+    (SIGKILL the child, or shut the socket down — either unblocks a
+    reader mid-``readline``), ``release`` (its cleanup once the streams
+    are closed) and ``tail`` (a diagnostic suffix for loss messages);
+    the hello check, framing, heartbeat bookkeeping (:attr:`last_beat`,
+    the watchdog's staleness signal) and loss classification live here.
+
+    The first :meth:`measure` reads the greeting, so like every other
+    read it happens under the pool's supervisor watch: a worker wedged
+    at start-up ends as a :class:`~repro.api.resilience.WorkerTimeout`,
+    never a hang.  ``greet_timeout`` (the TCP connect timeout) makes a
+    silent non-worker peer a prompt
+    :class:`~repro.api.resilience.WorkerCrashed`.
     """
 
-    name = "subprocess"
-
-    def __init__(self, max_parallel: int = 0):
-        self.parallel = int(max_parallel) or DEFAULT_MAX_PARALLEL
-        self._dispatch = ThreadBackend(self.parallel)
-
-    def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None) -> Future:
-        _reject_session_ref(self.name, request)
-        return self._dispatch.submit(request, _run_in_worker,
-                                     on_start=on_start)
-
-    def close(self) -> None:
-        self._dispatch.close()
-
-
-class _PoolWorker:
-    """One persistent ``--pool-worker`` process of the procpool backend.
-
-    The worker heartbeats while a measurement is in flight (``{"hb": t}``
-    frames interleaved with the result envelope); :meth:`measure` skips
-    them, refreshing :attr:`last_beat` — the supervision watchdog's
-    staleness signal.  :meth:`kill` is the watchdog's teardown: it notes
-    *why* before SIGKILLing, so the read loop (which then observes EOF)
-    can raise :class:`~repro.api.resilience.WorkerTimeout` instead of a
-    plain crash.
-    """
-
-    def __init__(self):
-        handle, self.stderr_path = tempfile.mkstemp(
-            prefix="repro-poolworker-", suffix=".log")
-        self._stderr = os.fdopen(handle, "w")
-        try:
-            self.process = subprocess.Popen(
-                [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=self._stderr, text=True, env=_worker_env())
-        except BaseException:
-            # A failed spawn must not strand the log fd or its file.
-            self._stderr.close()
-            os.remove(self.stderr_path)
-            raise
+    def __init__(self, reader, writer, *, label: str,
+                 sever: Callable[[], None], release: Callable[[], None],
+                 tail: Callable[[], str] = lambda: "",
+                 greet_timeout: float | None = None, origin=None):
+        self.reader = reader
+        self.writer = writer
+        self.label = label
+        #: Where the channel leads (an agent address; ``None`` for a pipe).
+        self.origin = origin
+        self.greet_timeout = greet_timeout
+        self._sever = sever
+        self._release = release
+        self._tail = tail
+        self.greeted = False
         self.last_beat = time.monotonic()
         self.killed_reason: str | None = None
         self.killed_preempted = False
+        self._closed = False
 
     def alive(self) -> bool:
-        return self.process.poll() is None
+        """Fit for reuse: not closed or killed, and silent.  An idle
+        worker never speaks, so a readable channel is at EOF (the worker
+        died) or out of step."""
+        if self._closed or self.killed_reason is not None:
+            return False
+        try:
+            readable, _, _ = select.select([self.reader], [], [], 0)
+        except (OSError, ValueError):
+            return False
+        return not readable
 
     def kill(self, reason: str, *, preempted: bool = False) -> None:
-        """Watchdog/scheduler teardown: record the verdict, then SIGKILL.
-
-        ``preempted`` marks a fair-scheduler kill (a healthy worker shot
-        to free its slot) so the read loop classifies the loss as
-        :class:`~repro.api.resilience.WorkerPreempted` rather than a
-        timeout.
-        """
+        """Watchdog/scheduler teardown: record the verdict, then sever.
+        ``preempted`` marks a fair-scheduler kill of a healthy worker,
+        which the read loop reports as a preemption, not a timeout."""
         self.killed_reason = reason
         self.killed_preempted = preempted
         try:
-            self.process.kill()
+            self._sever()
         except OSError:
             pass
 
-    def _stderr_tail(self) -> str:
-        self._stderr.flush()
-        try:
-            with open(self.stderr_path) as stream:
-                return stream.read().strip()[-2000:]
-        except OSError:
-            return ""
-
     def _lost(self, detail: str) -> BackendError:
-        """The channel broke: classify watchdog kill vs spontaneous death."""
+        """The channel broke: classify watchdog kill vs worker death."""
         if self.killed_reason is not None:
             if self.killed_preempted:
                 return WorkerPreempted(self.killed_reason)
             return WorkerTimeout(self.killed_reason)
-        return WorkerCrashed(detail)
+        return WorkerCrashed(detail + self._tail())
+
+    def _greet(self) -> None:
+        """Read and check the worker's hello frame."""
+        if self.greet_timeout is not None:
+            ready, _, _ = select.select([self.reader], [], [],
+                                        self.greet_timeout)
+            if not ready:
+                raise WorkerCrashed(
+                    f"{self.label} sent no greeting within "
+                    f"{self.greet_timeout:g}s; is a 'repro worker' agent "
+                    f"listening there?")
+        line = self.reader.readline()
+        if not line:
+            raise self._lost(f"{self.label} closed the channel during the "
+                             f"greeting")
+        try:
+            hello = json.loads(line)["hello"]
+            schema = hello["schema"]
+        except (ValueError, KeyError, TypeError):
+            raise WorkerCrashed(
+                f"{self.label} sent a non-protocol greeting "
+                f"({line.strip()[:120]!r}); is a 'repro worker' agent "
+                f"listening there?") from None
+        if schema != SCHEMA_VERSION:
+            raise BackendError(f"{self.label} speaks schema {schema!r}; "
+                               f"this client requires {SCHEMA_VERSION!r}")
+        self.greeted = True
 
     def measure(self, request: AnalysisRequest,
                 chaos: dict | None = None) -> AnalysisResult:
-        """One framed request/response round trip (raises on crash).
+        """One framed request/response round trip (raises on loss).
 
         ``chaos`` is an optional scripted-fault rider (a
         :class:`~repro.api.resilience.Fault` payload) executed *inside*
@@ -321,118 +337,226 @@ class _PoolWorker:
             frame = json.dumps({"request": request.to_payload(),
                                 "chaos": chaos}, sort_keys=True)
         try:
-            self.process.stdin.write(frame + "\n")
-            self.process.stdin.flush()
+            if not self.greeted:
+                self._greet()
+            self.writer.write(frame + "\n")
+            self.writer.flush()
             while True:
-                line = self.process.stdout.readline()
+                line = self.reader.readline()
                 if not line:
-                    code = self.process.poll()
-                    raise self._lost(
-                        f"procpool worker exited (status {code}) mid-request"
-                        + (f":\n{self._stderr_tail()}" if self._stderr_tail()
-                           else ""))
+                    raise self._lost(f"{self.label} closed the channel "
+                                     f"mid-request")
                 try:
                     envelope = json.loads(line)
+                    if not isinstance(envelope, dict):
+                        raise ValueError(line)
                 except ValueError:
                     raise WorkerCrashed(
-                        f"procpool worker emitted a corrupted frame "
-                        f"({line.strip()[:120]!r}); worker log tail:\n"
-                        f"{self._stderr_tail()}") from None
+                        f"{self.label} emitted a corrupted frame "
+                        f"({line.strip()[:120]!r})" + self._tail()) from None
                 if "hb" in envelope:
                     self.last_beat = time.monotonic()
                     continue
                 if "error" in envelope:
                     raise BackendError(
-                        f"procpool worker failed: {envelope['error']}")
+                        f"{self.label} failed: {envelope['error']}")
                 return AnalysisResult.from_payload(envelope["ok"])
         except (OSError, ValueError) as exc:
-            raise self._lost(
-                f"procpool worker pipe failed ({exc}); "
-                f"worker log tail:\n{self._stderr_tail()}") from None
+            raise self._lost(f"{self.label} channel failed ({exc})") from None
 
     def close(self) -> None:
+        """Close the streams — the writer first, whose EOF ends the
+        worker's loop — then let the transport release the rest."""
+        self._closed = True
+        for stream in (self.writer, self.reader):
+            try:
+                stream.close()
+            except OSError:
+                pass  # flushing into a severed channel; already lost
+        self._release()
+
+
+class _PipeTransport:
+    """``--pool-worker`` child processes: a channel is the child's
+    stdin/stdout, severed by SIGKILL; the child's stderr goes to a temp
+    log whose tail is attached to loss messages."""
+
+    noun = "procpool worker"
+
+    @staticmethod
+    def open() -> Channel:
+        handle, log_path = tempfile.mkstemp(prefix="repro-poolworker-",
+                                            suffix=".log")
+        log = os.fdopen(handle, "w")
         try:
-            if self.alive():
-                self.process.stdin.close()   # EOF -> worker loop exits
-                self.process.wait(timeout=5)
-        except (OSError, ValueError, subprocess.TimeoutExpired):
-            self.process.kill()
-        finally:
-            self._stderr.close()
-            if os.path.exists(self.stderr_path):
-                os.remove(self.stderr_path)
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.api.backends", "--pool-worker"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=log, text=True, env=_worker_env())
+        except BaseException:
+            # A failed spawn must not strand the log fd or its file.
+            log.close()
+            os.remove(log_path)
+            raise
+
+        def tail() -> str:
+            try:
+                with open(log_path) as stream:
+                    text = stream.read().strip()[-2000:]
+            except OSError:
+                text = ""
+            status = process.poll()
+            return ("" if status is None else f" (exit status {status})") \
+                + (f"; worker log tail:\n{text}" if text else "")
+
+        def release() -> None:
+            try:
+                process.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+            finally:
+                log.close()
+                if os.path.exists(log_path):
+                    os.remove(log_path)
+
+        return Channel(process.stdout, process.stdin,
+                       label=f"procpool worker pid {process.pid}",
+                       sever=process.kill, release=release, tail=tail)
+
+    @staticmethod
+    def lost(origin) -> None:
+        """Nothing to remember: the next open spawns afresh."""
+
+    @staticmethod
+    def snapshot() -> dict:
+        return {}
 
 
-class ProcPoolBackend(ExecutionBackend):
-    """Warm process pool: persistent workers speaking request/result JSON.
+def _shutdown(sock: socket.socket) -> None:
+    """Sever a socket, unblocking any reader mid-``readline``."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
 
-    Workers are spawned lazily (first borrow) and reused across shards,
-    amortising the interpreter spin-up, zoo weight load and engine
-    prefix-cache that :class:`SubprocessBackend` pays per shard.  A
-    worker that crashes fails its current shard with the retryable
-    :class:`~repro.api.resilience.WorkerCrashed` and is simply not
-    returned to the idle pool — the next borrow spawns a replacement
-    (counted in :attr:`worker_restarts`, surfaced via
-    ``queue_snapshot()`` and ``/v1/health``).
 
-    Supervision: every in-flight measurement is watched by a
-    :class:`~repro.api.resilience.WorkerSupervisor` — a wall-clock
-    deadline when the request carries ``options.shard_timeout``, and
-    heartbeat staleness (``heartbeat_grace`` seconds without a worker
-    heartbeat frame) always.  A tripped watchdog SIGKILLs the worker,
-    whose read loop then raises
-    :class:`~repro.api.resilience.WorkerTimeout` — retryable, so the
-    shard requeues on a fresh worker.
+class _TcpTransport:
+    """``repro worker`` agents, dialed round-robin; a channel is a socket,
+    severed by shutting it down.  An agent whose dial or channel failed
+    sits out ``dead_cooldown`` seconds while the others are tried
+    first."""
 
-    Elasticity: the pool grows on demand toward ``max_parallel`` (a
-    borrow with no idle worker spawns one) and shrinks when quiet —
-    workers idle longer than ``idle_ttl`` seconds are reaped on the next
-    borrow/return (or an explicit :meth:`reap_idle`), releasing their
-    memory-hungry model weights.  :meth:`pool_snapshot` surfaces the
-    live size/busy/idle counts plus cumulative spawn/reap counters into
-    ``queue_snapshot()`` and ``/v1/health``.
+    noun = "remote worker"
 
-    Preemption: ``supports_preempt`` is True — ``submit`` accepts a
-    :class:`~repro.api.events.PreemptToken` and registers a kill hook so
-    a fair-scheduler preempt SIGKILLs the borrowed worker immediately;
-    the read loop then raises
-    :class:`~repro.api.resilience.WorkerPreempted` (a
-    :class:`~repro.api.resilience.WorkerTimeout` subclass the service
-    intercepts *before* the retry layer — preemption is not a fault and
-    burns no retry budget).
+    def __init__(self, addresses: tuple[tuple[str, int], ...],
+                 connect_timeout: float, dead_cooldown: float):
+        self.addresses = addresses
+        self.connect_timeout = float(connect_timeout)
+        self.dead_cooldown = float(dead_cooldown)
+        self._dead: dict[tuple[str, int], float] = {}
+        self._next = 0
+        self._lock = threading.Lock()
+
+    def open(self) -> Channel:
+        now = time.monotonic()
+        with self._lock:
+            start = self._next
+            self._next += 1
+            dead = dict(self._dead)
+        order = [self.addresses[(start + offset) % len(self.addresses)]
+                 for offset in range(len(self.addresses))]
+        fresh = [address for address in order
+                 if now - dead.get(address, -1e9) >= self.dead_cooldown]
+        # With the whole fleet in cooldown there is nothing to prefer —
+        # probe everyone rather than guaranteeing failure.
+        errors = []
+        for address in fresh or order:
+            try:
+                sock = socket.create_connection(
+                    address, timeout=self.connect_timeout)
+            except OSError as exc:
+                errors.append(f"{address[0]}:{address[1]} ({exc})")
+                self.lost(address)
+                continue
+            with self._lock:
+                self._dead.pop(address, None)
+            # The connect timeout bounds the dial and the greeting; past
+            # that the supervision watchdog owns liveness.
+            sock.settimeout(None)
+            return Channel(sock.makefile("r", encoding="utf-8"),
+                           sock.makefile("w", encoding="utf-8"),
+                           label=f"remote worker {address[0]}:{address[1]}",
+                           sever=functools.partial(_shutdown, sock),
+                           release=sock.close,
+                           greet_timeout=self.connect_timeout,
+                           origin=address)
+        raise WorkerCrashed(
+            "no reachable remote worker: " + "; ".join(errors))
+
+    def lost(self, address: tuple[str, int]) -> None:
+        """Put an agent in cooldown."""
+        with self._lock:
+            self._dead[address] = time.monotonic()
+
+    def snapshot(self) -> dict:
+        now = time.monotonic()
+        with self._lock:
+            return {"workers": [
+                {"address": f"{host}:{port}",
+                 "dead": (now - self._dead.get((host, port), -1e9)
+                          < self.dead_cooldown)}
+                for host, port in self.addresses]}
+
+
+class PoolBackend(ExecutionBackend):
+    """The warm worker pool behind ``procpool`` and ``remote-pool``.
+
+    Channels open lazily — the pool grows on demand toward
+    ``max_parallel`` — and are reused newest-first, so interpreter
+    start-up, zoo weights and the engine prefix-cache are paid once per
+    worker, not per shard.  Channels idle past ``idle_ttl`` seconds are
+    closed on the next borrow (or :meth:`reap_idle`).  A broken channel
+    fails its shard with the retryable
+    :class:`~repro.api.resilience.WorkerCrashed` and is never reused;
+    replacements count in :attr:`worker_restarts`.
+
+    Every measurement, a fresh channel's greeting included, runs under
+    a :class:`~repro.api.resilience.WorkerSupervisor` watch (deadline
+    ``options.shard_timeout``; heartbeat staleness ``heartbeat_grace``).
+    A tripped watchdog severs the channel and the read loop raises
+    :class:`~repro.api.resilience.WorkerTimeout`.  A fair-scheduler
+    preempt (``submit(..., preempt=token)``) severs it the same way but
+    raises :class:`~repro.api.resilience.WorkerPreempted`, which the
+    service intercepts before the retry layer: no retry, no restart.
 
     **Lock ordering** (checked by ``repro lint`` and the runtime lock
-    witness): ``_lock`` is a leaf guarding the idle list and the
-    spawn/reap/busy counters.  Borrow/return take it in short bursts
-    and **drop it before any blocking call** — spawning a worker,
-    writing a frame, killing a process, or joining the supervisor
-    (:class:`~repro.api.resilience.WorkerSupervisor` has its own leaf
-    lock; the two are never held together).  ``reap_idle`` collects
-    victims under ``_lock`` and closes them after releasing it.  Never
-    call into a worker or another component while holding ``_lock``.
+    witness): ``_lock`` is a leaf guarding the idle list and counters,
+    taken in short bursts and **dropped before any call into a channel
+    or the transport** — stale channels are collected under it and
+    closed after.  The supervisor and the TCP transport have leaf locks
+    of their own, never held together with it.
     """
 
-    name = "procpool"
     supports_preempt = True
-    #: Scripted chaos faults ride the wire and execute inside the worker
-    #: (the :class:`ChaosBackend` real-injection path); the TCP
-    #: remote-pool backend advertises the same flag.
     chaos_rider = True
 
-    def __init__(self, max_parallel: int = 0, *,
+    def __init__(self, transport, max_parallel: int, *,
                  heartbeat_grace: float | None = 10.0,
                  poll_interval: float = 0.1,
                  idle_ttl: float | None = 300.0):
         if idle_ttl is not None and idle_ttl <= 0:
             raise ValueError(f"idle_ttl must be positive or None, "
                              f"got {idle_ttl}")
-        self.parallel = int(max_parallel) or DEFAULT_MAX_PARALLEL
+        self.parallel = max_parallel
         self.heartbeat_grace = heartbeat_grace
         self.idle_ttl = idle_ttl
+        self._transport = transport
         self._dispatch = ThreadBackend(self.parallel)
         self._supervisor = WorkerSupervisor(poll_interval=poll_interval)
-        #: (worker, idled_at) pairs, oldest first at index 0.
-        self._idle: list[tuple[_PoolWorker, float]] = []
+        #: (channel, idled_at) pairs, oldest first at index 0.
+        self._idle: list[tuple[Channel, float]] = []
         self._lock = threading.Lock()
         self._closed = False
         self._restarts = 0
@@ -442,7 +566,7 @@ class ProcPoolBackend(ExecutionBackend):
 
     @property
     def worker_restarts(self) -> int:
-        """Cumulative crashed/killed-worker replacements."""
+        """Cumulative lost-channel replacements (crashes + timeouts)."""
         with self._lock:
             return self._restarts
 
@@ -451,90 +575,105 @@ class ProcPoolBackend(ExecutionBackend):
         with self._lock:
             idle = len(self._idle)
             busy = self._busy
-            return {"size": idle + busy, "busy": busy, "idle": idle,
-                    "max": self.parallel, "spawned": self._spawned,
-                    "reaped": self._reaped, "idle_ttl": self.idle_ttl}
+            snapshot = {"size": idle + busy, "busy": busy, "idle": idle,
+                        "max": self.parallel, "spawned": self._spawned,
+                        "reaped": self._reaped, "idle_ttl": self.idle_ttl}
+        snapshot.update(self._transport.snapshot())
+        return snapshot
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
                on_start: Callable[[], None] | None = None,
                chaos: dict | None = None, preempt=None) -> Future:
-        _reject_session_ref(self.name, request)
+        if request.model.session is not None:
+            raise BackendError(
+                f"the {self.name} backend cannot serve session ref "
+                f"{request.model.key!r}: in-memory models do not cross a "
+                f"process boundary (use benchmark=/preset= refs, or the "
+                f"inline/threads backends)")
 
-        def run(req: AnalysisRequest, _chaos=chaos,
-                _preempt=preempt) -> AnalysisResult:
-            return self._run_on_worker(req, chaos=_chaos, preempt=_preempt)
-
-        return self._dispatch.submit(request, run, on_start=on_start)
+        return self._dispatch.submit(
+            request, functools.partial(self._run, chaos=chaos,
+                                       preempt=preempt),
+            on_start=on_start)
 
     def reap_idle(self, now: float | None = None) -> int:
-        """Close idle workers past :attr:`idle_ttl`; returns the count."""
+        """Close idle channels past :attr:`idle_ttl`; returns the count."""
         if self.idle_ttl is None:
             return 0
         now = time.monotonic() if now is None else now
-        expired: list[_PoolWorker] = []
+        expired: list[Channel] = []
         with self._lock:
             while self._idle and now - self._idle[0][1] >= self.idle_ttl:
                 expired.append(self._idle.pop(0)[0])
             self._reaped += len(expired)
-        for worker in expired:
-            worker.close()
+        for channel in expired:
+            channel.close()
         if expired:
-            logger.info("procpool reaped %d idle worker(s) past the %.0fs "
-                        "TTL", len(expired), self.idle_ttl)
+            logger.info("%s reaped %d idle worker(s) past the %.0fs TTL",
+                        self.name, len(expired), self.idle_ttl)
         return len(expired)
 
-    def _borrow(self) -> _PoolWorker:
+    def _borrow(self) -> Channel:
         self.reap_idle()
         with self._lock:
             if self._closed:
-                raise BackendError("procpool backend is closed")
+                raise BackendError(f"{self.name} backend is closed")
             self._busy += 1
-            while self._idle:
-                worker, _ = self._idle.pop()      # newest first: warmest
-                if worker.alive():
-                    return worker
-                worker.close()
-            self._spawned += 1
+        stale: list[Channel] = []
         try:
-            return _PoolWorker()
+            while True:
+                with self._lock:
+                    if not self._idle:
+                        self._spawned += 1
+                        break
+                    channel, _ = self._idle.pop()  # newest first: warmest
+                if channel.alive():
+                    return channel
+                stale.append(channel)
+            return self._transport.open()
         except BaseException:
             with self._lock:
                 self._busy -= 1
             raise
+        finally:
+            for dead in stale:
+                dead.close()
 
-    def _run_on_worker(self, request: AnalysisRequest,
-                       chaos: dict | None = None,
-                       preempt=None) -> AnalysisResult:
+    def _run(self, request: AnalysisRequest, chaos: dict | None = None,
+             preempt=None) -> AnalysisResult:
         if preempt is not None and preempt.is_set():
             raise WorkerPreempted(preempt.reason or
                                   "shard preempted before dispatch")
-        worker = self._borrow()
-        describe = f"shard {request.fingerprint()[:12]}"
+        channel = self._borrow()
+        describe = f"shard {request.fingerprint()[:12]} on {channel.label}"
         timeout = request.options.shard_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         token = self._supervisor.watch(
-            kill=worker.kill, describe=describe, deadline=deadline,
-            beat=lambda: worker.last_beat, grace=self.heartbeat_grace)
+            kill=channel.kill, describe=describe, deadline=deadline,
+            beat=lambda: channel.last_beat, grace=self.heartbeat_grace)
         hook = None
         if preempt is not None:
-            def hook(reason, _worker=worker):
-                _worker.kill(reason or "shard preempted", preempted=True)
+            def hook(reason, _channel=channel):
+                _channel.kill(reason or "shard preempted", preempted=True)
             preempt.add_hook(hook)
         try:
-            result = worker.measure(request, chaos=chaos)
+            result = channel.measure(request, chaos=chaos)
         except BaseException as error:
-            worker.close()               # never reuse a suspect worker
+            channel.close()              # never reuse a suspect channel
+            lost = (isinstance(error, WorkerCrashed)
+                    and not isinstance(error, WorkerPreempted))
             with self._lock:
                 self._busy -= 1
-            if isinstance(error, WorkerCrashed) \
-                    and not isinstance(error, WorkerPreempted):
-                with self._lock:
+                if lost:
                     self._restarts += 1
-                    restarts = self._restarts
+                restarts = self._restarts
+            if lost:
+                self._transport.lost(channel.origin)
                 logger.warning(
-                    "procpool worker lost on %s (%s: %s); replacement "
-                    "spawns on next borrow (worker_restarts=%d)",
-                    describe, type(error).__name__, error, restarts)
+                    "%s lost on %s (%s: %s); the next borrow opens a "
+                    "replacement (worker_restarts=%d)",
+                    self._transport.noun, describe, type(error).__name__,
+                    error, restarts)
             raise
         finally:
             if hook is not None:
@@ -543,10 +682,10 @@ class ProcPoolBackend(ExecutionBackend):
         with self._lock:
             self._busy -= 1
             if not self._closed:
-                self._idle.append((worker, time.monotonic()))
-                worker = None
-        if worker is not None:
-            worker.close()
+                self._idle.append((channel, time.monotonic()))
+                channel = None
+        if channel is not None:
+            channel.close()
         return result
 
     def close(self) -> None:
@@ -555,8 +694,56 @@ class ProcPoolBackend(ExecutionBackend):
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
-        for worker, _ in idle:
-            worker.close()
+        for channel, _ in idle:
+            channel.close()
+
+
+class ProcPoolBackend(PoolBackend):
+    """``procpool``: the pool over ``python -m repro.api.backends
+    --pool-worker`` child processes (framed JSON on stdin/stdout)."""
+
+    name = "procpool"
+
+    def __init__(self, max_parallel: int = 0, *,
+                 heartbeat_grace: float | None = 10.0,
+                 poll_interval: float = 0.1,
+                 idle_ttl: float | None = 300.0):
+        super().__init__(_PipeTransport(),
+                         int(max_parallel) or DEFAULT_MAX_PARALLEL,
+                         heartbeat_grace=heartbeat_grace,
+                         poll_interval=poll_interval, idle_ttl=idle_ttl)
+
+
+class RemotePoolBackend(PoolBackend):
+    """``remote-pool``: the pool over TCP ``repro worker`` agents at
+    ``workers`` (``HOST:PORT`` strings or pairs).
+
+    By default two shards per agent are in flight — one measuring, one
+    queued behind it on the agent's accept loop.  A fully unreachable
+    fleet raises the retryable
+    :class:`~repro.api.resilience.WorkerCrashed`; the retry backoff
+    doubles as the reconnect probe interval.
+    """
+
+    name = "remote-pool"
+
+    def __init__(self, workers, max_parallel: int = 0, *,
+                 heartbeat_grace: float | None = 10.0,
+                 poll_interval: float = 0.1,
+                 connect_timeout: float = 5.0,
+                 dead_cooldown: float = 5.0):
+        addresses = tuple(parse_worker_address(worker)
+                          for worker in (workers or ()))
+        if not addresses:
+            raise ValueError(
+                "the remote-pool backend needs at least one worker "
+                "address (workers=['HOST:PORT', ...]); start agents "
+                "with 'repro worker --listen HOST:PORT'")
+        super().__init__(
+            _TcpTransport(addresses, connect_timeout, dead_cooldown),
+            int(max_parallel) or max(DEFAULT_MAX_PARALLEL,
+                                     2 * len(addresses)),
+            heartbeat_grace=heartbeat_grace, poll_interval=poll_interval)
 
 
 def _worker_env() -> dict:
@@ -575,150 +762,113 @@ def _worker_env() -> dict:
     return env
 
 
-def _run_in_worker(request: AnalysisRequest) -> AnalysisResult:
-    """Measure ``request`` in a fresh worker process (wire-format round trip).
+def serve_frames(lines, send: Callable[[str], None], service,
+                 crash: Callable[[], None]) -> None:
+    """The worker loop behind both transports: ``--pool-worker`` over
+    stdin/stdout (:func:`worker_main`) and each TCP connection of a
+    :class:`~repro.api.cluster.WorkerAgent`.
 
-    The result travels through a temp file rather than stdout so that
-    incidental prints inside the worker (e.g. a zoo training run on a
-    cold weight cache) cannot corrupt the payload.
+    Greets with ``{"hello": {"schema": .., "pid": ..}}``, then answers
+    each line — an :class:`AnalysisRequest` document, or ``{"request":
+    .., "chaos": <Fault payload>}`` — with ``{"hb": t}`` frames while
+    measuring (so the client's watchdog can tell *hung* from *slow*)
+    and one ``{"ok": <result payload>}``/``{"error": <message>}``
+    envelope; a line or chaos rider that is not a JSON object gets an
+    error envelope.  Chaos crashes call ``crash``, the caller's way of
+    dying.  Once ``send`` fails, the client has hung up: the loop ends.
     """
-    handle, result_path = tempfile.mkstemp(prefix="repro-worker-",
-                                           suffix=".json")
-    os.close(handle)
-    timeout = request.options.shard_timeout
-    try:
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.api.backends", result_path],
-                input=request.to_json(), capture_output=True, text=True,
-                env=_worker_env(), timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise WorkerTimeout(
-                f"analysis worker exceeded the {timeout}s shard deadline "
-                f"and was killed") from None
-        if proc.returncode != 0:
-            detail = (proc.stderr or proc.stdout or "").strip()
-            # A negative status means the process died on a signal
-            # (OOM-kill, segfault) — infrastructure, hence retryable; a
-            # positive one is the worker reporting a deterministic
-            # measurement error.
-            error_cls = WorkerCrashed if proc.returncode < 0 else BackendError
-            raise error_cls(
-                f"analysis worker exited with status {proc.returncode}"
-                + (f":\n{detail[-2000:]}" if detail else ""))
-        with open(result_path) as stream:
-            return AnalysisResult.from_json(stream.read())
-    finally:
-        if os.path.exists(result_path):
-            os.remove(result_path)
-
-
-def _heartbeat_loop(emit: Callable[[dict], None],
-                    stop: threading.Event) -> None:
-    """Worker-side heartbeat thread body: one ``{"hb": t}`` frame per
-    :data:`HEARTBEAT_INTERVAL` while a measurement is in flight."""
-    while not stop.wait(HEARTBEAT_INTERVAL):
-        try:
-            emit({"hb": time.time()})
-        except (OSError, ValueError):
-            return                       # parent hung up; we exit soon
-
-
-def _pool_worker_main() -> int:
-    """``python -m repro.api.backends --pool-worker`` — persistent loop.
-
-    Serves framed measurements until stdin closes: one request JSON per
-    line in, one ``{"ok": <result payload>}`` or ``{"error": <message>}``
-    envelope per line out — plus ``{"hb": t}`` heartbeat frames while a
-    measurement runs, so the parent's watchdog can tell *hung* from
-    *slow*.  A frame may also be an envelope ``{"request": ..,
-    "chaos": ..}`` carrying a scripted fault to execute in-process (the
-    chaos harness's real-injection path): crash before/after the
-    measurement (``os._exit``), emit a corrupted result frame, or hang
-    without heartbeats until the watchdog kills us.  The real stdout fd
-    is captured for the protocol and ``sys.stdout``/fd 1 are re-pointed
-    at stderr first, so incidental prints inside measurement code (zoo
-    training on a cold cache, progress chatter) land in the log instead
-    of the channel.
-
-    One store-less service lives for the whole loop: shards of the same
-    model reuse its engine cache — the warmth the backend exists for.
-    """
-    channel = os.fdopen(os.dup(sys.stdout.fileno()), "w")
-    os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
-    sys.stdout = sys.stderr
-    from .service import ResilienceService
-    service = ResilienceService(use_store=False)
     write_lock = threading.Lock()
 
     def emit(document) -> None:
         text = (document if isinstance(document, str)
                 else json.dumps(document, sort_keys=True))
+        # Whole frames only: the heartbeat thread shares the channel.
         with write_lock:
-            # lint: allow(lock-blocking-call): serializing this write IS the lock's job — the heartbeat thread shares the channel
-            channel.write(text + "\n")
-            # lint: allow(lock-blocking-call): the flush completes the frame the lock serializes
-            channel.flush()
+            send(text + "\n")
 
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        document = json.loads(line)
-        chaos = document.get("chaos") if "request" in document else None
-        payload = document.get("request", document)
-        kind = chaos["kind"] if chaos is not None else None
-        if kind == "crash-before":
-            os._exit(17)
-        if kind == "hang":
-            # No heartbeats, no progress: indistinguishable from a
-            # genuinely wedged worker.  The parent watchdog kills us.
-            time.sleep(3600)
-        stop_beat = threading.Event()
-        beat_thread = threading.Thread(target=_heartbeat_loop,
-                                       args=(emit, stop_beat), daemon=True)
-        beat_thread.start()
-        try:
-            result = service.run(AnalysisRequest.from_payload(payload))
-            envelope = {"ok": result.to_payload()}
-        except Exception as exc:  # noqa: BLE001 — reported to the parent
-            envelope = {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            # Joined before the envelope is emitted, so no stale
-            # heartbeat frame ever follows a result on the channel.
-            stop_beat.set()
-            beat_thread.join(timeout=5)
-        if kind == "crash-after":
-            os._exit(17)
-        if kind == "corrupt":
-            emit("{corrupt frame" + "x" * 16)
-            continue
-        emit(envelope)
-    return 0
+    def heartbeat(stop: threading.Event) -> None:
+        while not stop.wait(HEARTBEAT_INTERVAL):
+            try:
+                emit({"hb": time.time()})
+            except (OSError, ValueError):
+                return                   # client hung up; we exit soon
+
+    try:
+        emit({"hello": {"schema": SCHEMA_VERSION, "pid": os.getpid()}})
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                document = json.loads(line)
+            except ValueError:
+                emit({"error": f"undecodable frame: {line.strip()[:120]!r}"})
+                continue
+            chaos = (document.get("chaos") if isinstance(document, dict)
+                     and "request" in document else None)
+            if not isinstance(document, dict) \
+                    or not isinstance(chaos, (dict, type(None))):
+                emit({"error": f"non-object frame or chaos rider: "
+                               f"{line.strip()[:120]!r}"})
+                continue
+            kind = None if chaos is None else chaos.get("kind")
+            if kind == "crash-before":
+                crash()
+                return
+            if kind == "hang":
+                # No heartbeats, no progress: indistinguishable from a
+                # genuinely wedged worker.  The client's watchdog severs.
+                time.sleep(3600)
+            stop_beat = threading.Event()
+            beat_thread = threading.Thread(target=heartbeat,
+                                           args=(stop_beat,), daemon=True)
+            beat_thread.start()
+            try:
+                result = service.run(AnalysisRequest.from_payload(
+                    document.get("request", document)))
+                envelope = {"ok": result.to_payload()}
+            except Exception as exc:  # noqa: BLE001 — reported to the client
+                envelope = {"error": f"{type(exc).__name__}: {exc}"}
+            finally:
+                # Joined before the envelope is emitted, so no stale
+                # heartbeat frame ever follows a result on the channel.
+                stop_beat.set()
+                beat_thread.join(timeout=5)
+            if kind == "crash-after":
+                crash()
+                return
+            if kind == "corrupt":
+                emit("{corrupt frame" + "x" * 16)
+                continue
+            emit(envelope)
+    except (OSError, ValueError):
+        return
 
 
 def worker_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.api.backends <result-path>`` — the worker body.
+    """``python -m repro.api.backends --pool-worker``: :func:`serve_frames`
+    over stdin/stdout until stdin closes, crashing by ``os._exit``.
 
-    Reads one :class:`AnalysisRequest` JSON document on stdin, measures
-    it with a store-less inline service, writes the
-    :class:`AnalysisResult` JSON to ``<result-path>``.  With
-    ``--pool-worker`` instead, serves the procpool's persistent framed
-    loop (see :func:`_pool_worker_main`).
+    The real stdout fd is kept for the protocol and ``sys.stdout``/fd 1
+    are re-pointed at stderr first, so incidental prints (zoo training
+    on a cold cache) land in the worker log instead of the channel.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv == ["--pool-worker"]:
-        return _pool_worker_main()
-    if len(argv) != 1:
-        print("usage: python -m repro.api.backends <result-path> "
-              "(request JSON on stdin), or --pool-worker for the "
-              "persistent procpool loop", file=sys.stderr)
+    if argv != ["--pool-worker"]:
+        print("usage: python -m repro.api.backends --pool-worker (the "
+              "framed procpool worker loop on stdin/stdout)",
+              file=sys.stderr)
         return 2
+    channel = os.fdopen(os.dup(sys.stdout.fileno()), "w")
+    os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
+    sys.stdout = sys.stderr
     from .service import ResilienceService
-    request = AnalysisRequest.from_json(sys.stdin.read())
-    service = ResilienceService(use_store=False)
-    result = service.run(request)
-    with open(argv[0], "w") as stream:
-        stream.write(result.to_json())
+
+    def send(text: str) -> None:
+        channel.write(text)
+        channel.flush()
+
+    serve_frames(sys.stdin, send, ResilienceService(use_store=False),
+                 crash=lambda: os._exit(17))
     return 0
 
 
@@ -735,15 +885,16 @@ class ChaosBackend(ExecutionBackend):
 
     Injection has two paths:
 
-    * **procpool inner** — the fault rides the wire to the worker and
-      executes there (real ``os._exit`` crashes, a genuinely corrupted
-      protocol frame, a genuinely hung process for the watchdog);
+    * **pool inners** (``procpool``/``remote-pool``) — the fault rides
+      the wire to the worker and executes there (real crashes, a
+      genuinely corrupted protocol frame, a genuinely hung worker for
+      the watchdog);
     * **other inners** — the fault is simulated at the dispatch
       boundary (a :class:`~repro.api.resilience.WorkerCrashed` future;
       ``crash-after`` runs the real measurement first, then loses the
       result), exercising the same retry machinery without process
-      machinery.  ``hang`` faults *require* the procpool inner — there
-      is no process to kill anywhere else, so they are rejected at
+      machinery.  ``hang`` faults *require* a pool inner — there is no
+      worker to kill anywhere else, so they are rejected at
       construction.
 
     ``injected`` counts faults actually fired (a chaos test asserting
@@ -755,7 +906,7 @@ class ChaosBackend(ExecutionBackend):
             raise TypeError(f"fault_plan must be a FaultPlan, "
                             f"got {type(fault_plan).__name__}")
         if any(fault.kind == "hang" for fault in fault_plan.faults) \
-                and not getattr(inner, "chaos_rider", False):
+                and not inner.chaos_rider:
             raise ValueError(
                 f"hang faults hold a worker hostage and need a "
                 f"worker-owning backend's watchdog to recover "
@@ -772,15 +923,14 @@ class ChaosBackend(ExecutionBackend):
 
     @property
     def worker_restarts(self) -> int:
-        return int(getattr(self.inner, "worker_restarts", 0) or 0)
+        return self.inner.worker_restarts
 
     @property
     def supports_preempt(self) -> bool:
-        return bool(getattr(self.inner, "supports_preempt", False))
+        return self.inner.supports_preempt
 
     def pool_snapshot(self) -> dict:
-        snapshot = getattr(self.inner, "pool_snapshot", None)
-        return snapshot() if callable(snapshot) else {}
+        return self.inner.pool_snapshot()
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
                on_start: Callable[[], None] | None = None,
@@ -800,7 +950,7 @@ class ChaosBackend(ExecutionBackend):
             return self.inner.submit(request, runner, **kwargs)
         logger.info("chaos: injecting %s on shard %d attempt %d",
                     fault.kind, shard, attempt)
-        if getattr(self.inner, "chaos_rider", False):
+        if self.inner.chaos_rider:
             return self.inner.submit(request, runner,
                                      chaos=fault.to_payload(), **kwargs)
         return self._simulate(fault, request, runner, on_start,
@@ -889,26 +1039,19 @@ def make_backend(backend: str | ExecutionBackend | None,
             f"workers= only applies to the remote-pool backend; the "
             f"{name!r} backend owns its own workers (use "
             f"backend='remote-pool' to dispatch to TCP agents)")
-    if name == "remote-pool":
-        from .cluster import RemotePoolBackend
-        inner: ExecutionBackend = RemotePoolBackend(workers or (),
-                                                    max_parallel or 0)
-        if chaos:
-            return ChaosBackend(inner, fault_plan)
-        return inner
     if name == "inline":
         if max_parallel is not None and max_parallel != 1:
             raise ValueError(
                 "the inline backend executes on the submitting thread; "
                 "max_parallel does not apply (use --backend threads or "
-                "subprocess for parallel execution)")
+                "procpool for parallel execution)")
         inner: ExecutionBackend = InlineBackend()
     elif name == "threads":
         inner = ThreadBackend(max_parallel or 0)
     elif name == "procpool":
         inner = ProcPoolBackend(max_parallel or 0)
     else:
-        inner = SubprocessBackend(max_parallel or 0)
+        inner = RemotePoolBackend(workers or (), max_parallel or 0)
     if chaos:
         return ChaosBackend(inner, fault_plan)
     return inner

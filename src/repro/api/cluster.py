@@ -1,33 +1,22 @@
 """Fleet tier: TCP worker agents, a remote shard pool, and a multi-node
 coordinator.
 
-Three layers, each riding a seam the stack already has (ISSUE 10):
+Three layers, each riding a seam the stack already has:
 
 **Worker agents** (``repro worker --listen HOST:PORT``).
-    :class:`WorkerAgent` lifts the procpool's framed stdin/stdout worker
-    protocol (:func:`repro.api.backends._pool_worker_main`) onto TCP
-    verbatim: one JSON document per line — request in, ``{"ok": ...}`` /
-    ``{"error": ...}`` envelope out, ``{"hb": t}`` heartbeat frames while
-    a measurement is in flight, and the same scripted-chaos rider
-    (``{"request": ..., "chaos": ...}``) so the fault-injection harness
-    drives remote workers exactly like local ones.  Each connection
-    additionally opens with a ``{"hello": {"schema": ..., "pid": ...}}``
-    greeting so clients fail fast on schema skew or a non-worker peer.
-    One store-less :class:`~repro.api.service.ResilienceService` lives
-    for the agent's whole life, so shards of the same model reuse its
-    warm engine cache across connections.
+    :class:`WorkerAgent` runs the procpool's worker loop,
+    :func:`repro.api.backends.serve_frames`, on every TCP connection —
+    hello, heartbeats, envelopes and the scripted-chaos rider, so the
+    fault-injection harness drives remote workers exactly like local
+    ones.  One store-less :class:`~repro.api.service.ResilienceService`
+    lives for the agent's whole life, so shards of the same model reuse
+    its warm engine cache across connections.
 
 **The remote pool** (``make_backend("remote-pool", workers=[...])``).
-    :class:`RemotePoolBackend` is the procpool backend with the process
-    table swapped for a set of ``HOST:PORT`` agents: channels are pooled
-    and reused, a borrow with no idle channel dials the next agent
-    round-robin, and every in-flight shard is watched by the PR 6
-    :class:`~repro.api.resilience.WorkerSupervisor` (wall-clock deadline
-    + heartbeat staleness).  A dead or hung peer is never a hang: the
-    socket breaks (or the watchdog breaks it), the shard fails with the
-    retryable :class:`~repro.api.resilience.WorkerCrashed` /
-    :class:`~repro.api.resilience.WorkerTimeout`, the agent's address
-    sits out a cooldown, and the retry reconnects elsewhere.
+    :class:`~repro.api.backends.RemotePoolBackend` (re-exported here) is
+    the procpool's pool over a TCP transport: pooled channels, dialed
+    round-robin, supervised, and a lost agent sits out a cooldown while
+    the retry reconnects elsewhere.
 
 **The coordinator** (``repro coordinate --node URL ...``).
     :class:`ClusterCoordinator` + :class:`CoordinatorServer` federate
@@ -56,7 +45,6 @@ import http.client
 import json
 import logging
 import os
-import socket
 import socketserver
 import threading
 import time
@@ -65,35 +53,18 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
 
-from .backends import (DEFAULT_MAX_PARALLEL, ExecutionBackend, Runner,
-                       ThreadBackend, _heartbeat_loop, _reject_session_ref)
+from .backends import (RemotePoolBackend, _shutdown, parse_worker_address,
+                       serve_frames)
 from .events import TERMINAL_EVENTS, AnalysisEvent
-from .request import SCHEMA_VERSION, AnalysisRequest, AnalysisResult
-from .resilience import (BackendError, WorkerCrashed, WorkerPreempted,
-                         WorkerSupervisor, WorkerTimeout)
+from .request import SCHEMA_VERSION, AnalysisRequest
 from .server import WAIT_SLICE_SECONDS, RemoteError
+from .service import ResilienceService
 
 __all__ = ["WorkerAgent", "RemotePoolBackend", "ClusterCoordinator",
            "CoordinatorServer", "NodeUnreachable", "parse_worker_address"]
 
 logger = logging.getLogger("repro.api.cluster")
-
-
-def parse_worker_address(spec) -> tuple[str, int]:
-    """``"HOST:PORT"`` (or a ``(host, port)`` pair) → ``(host, port)``."""
-    if isinstance(spec, tuple):
-        host, port = spec
-        return str(host), int(port)
-    host, sep, port = str(spec).rpartition(":")
-    if not sep or not host or not port:
-        raise ValueError(f"worker address {spec!r} is not HOST:PORT")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ValueError(f"worker address {spec!r} is not HOST:PORT "
-                         f"(port {port!r} is not an integer)") from None
 
 
 # ------------------------------------------------------------- worker agent
@@ -109,6 +80,10 @@ class _AgentServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     block_on_close = False
+
+    def __init__(self, address: tuple[str, int], agent: "WorkerAgent"):
+        self.agent = agent
+        super().__init__(address, _AgentHandler)
 
 
 class WorkerAgent:
@@ -127,11 +102,11 @@ class WorkerAgent:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  hard_exit: bool = False):
         self.hard_exit = hard_exit
-        self.service = _make_worker_service()
+        self.service = ResilienceService(use_store=False)
         self._conn_lock = threading.Lock()
         self._conns: set = set()
         self._closed = False
-        self._server = _AgentServer((host, port), _make_agent_handler(self))
+        self._server = _AgentServer((host, port), self)
         self._thread: threading.Thread | None = None
 
     @property
@@ -167,14 +142,7 @@ class WorkerAgent:
         with self._conn_lock:
             conns = list(self._conns)
         for connection in conns:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
+            _shutdown(connection)
         self._server.shutdown()
         self._server.server_close()
 
@@ -196,431 +164,19 @@ class WorkerAgent:
         self.service.close()
 
 
-def _make_worker_service():
-    """The agent's store-less measurement service (late import: the
-    service module imports backends, which lazily imports us)."""
-    from .service import ResilienceService
-    return ResilienceService(use_store=False)
+class _AgentHandler(socketserver.StreamRequestHandler):
+    """One worker connection: :func:`~repro.api.backends.serve_frames`
+    over the socket, dying by the agent's :meth:`WorkerAgent._crash`."""
 
-
-def _make_agent_handler(agent: WorkerAgent):
-    class Handler(socketserver.StreamRequestHandler):
-        """One worker connection: the procpool framed loop over TCP.
-
-        Mirrors :func:`repro.api.backends._pool_worker_main` frame for
-        frame (heartbeats, error envelopes, the chaos rider), prefixed
-        by the hello greeting.
-        """
-
-        def handle(self) -> None:  # noqa: D102 — socketserver API
-            agent._track(self.connection)
-            try:
-                self._serve_connection()
-            finally:
-                agent._untrack(self.connection)
-
-        def _serve_connection(self) -> None:
-            write_lock = threading.Lock()
-
-            def emit(document) -> None:
-                text = (document if isinstance(document, str)
-                        else json.dumps(document, sort_keys=True))
-                with write_lock:
-                    # lint: allow(lock-blocking-call): serializing this write IS the lock's job — the heartbeat thread shares the channel
-                    self.wfile.write((text + "\n").encode())
-                    # lint: allow(lock-blocking-call): the flush completes the frame the lock serializes
-                    self.wfile.flush()
-
-            try:
-                emit({"hello": {"schema": SCHEMA_VERSION,
-                                "pid": os.getpid()}})
-                for raw in self.rfile:
-                    line = raw.decode(errors="replace")
-                    if not line.strip():
-                        continue
-                    try:
-                        document = json.loads(line)
-                    except ValueError:
-                        emit({"error": f"undecodable frame: "
-                                       f"{line.strip()[:120]!r}"})
-                        continue
-                    if not isinstance(document, dict):
-                        emit({"error": f"non-object frame: "
-                                       f"{line.strip()[:120]!r}"})
-                        continue
-                    chaos = (document.get("chaos")
-                             if "request" in document else None)
-                    payload = document.get("request", document)
-                    kind = chaos["kind"] if chaos is not None else None
-                    if kind == "crash-before":
-                        agent._crash()
-                        return
-                    if kind == "hang":
-                        # No heartbeats, no progress: indistinguishable
-                        # from a genuinely wedged agent.  The client's
-                        # watchdog severs the channel.
-                        time.sleep(3600)
-                    stop_beat = threading.Event()
-                    beat_thread = threading.Thread(
-                        target=_heartbeat_loop, args=(emit, stop_beat),
-                        daemon=True)
-                    beat_thread.start()
-                    try:
-                        result = agent.service.run(
-                            AnalysisRequest.from_payload(payload))
-                        envelope = {"ok": result.to_payload()}
-                    except Exception as exc:  # noqa: BLE001 — reported to the client
-                        envelope = {"error": f"{type(exc).__name__}: {exc}"}
-                    finally:
-                        # Joined before the envelope is emitted, so no
-                        # stale heartbeat ever follows a result frame.
-                        stop_beat.set()
-                        beat_thread.join(timeout=5)
-                    if kind == "crash-after":
-                        agent._crash()
-                        return
-                    if kind == "corrupt":
-                        emit("{corrupt frame" + "x" * 16)
-                        continue
-                    emit(envelope)
-            except (OSError, ValueError):
-                # The peer hung up (or the agent died under us) — the
-                # client classifies the loss; nothing to answer here.
-                return
-
-    return Handler
-
-
-# ------------------------------------------------------- remote-pool client
-class _TcpChannel:
-    """One pooled TCP connection to a worker agent.
-
-    The wire twin of :class:`repro.api.backends._PoolWorker`: same
-    framed :meth:`measure` round trip, same heartbeat bookkeeping for
-    the supervision watchdog, same :meth:`kill` verdict recording —
-    except "kill" here severs the socket (unblocking the reader)
-    instead of SIGKILLing a child process.
-    """
-
-    def __init__(self, address: tuple[str, int],
-                 connect_timeout: float = 5.0):
-        self.address = address
-        self.describe = f"{address[0]}:{address[1]}"
-        self.last_beat = time.monotonic()
-        self.killed_reason: str | None = None
-        self.killed_preempted = False
-        self._closed = False
-        # Held for the channel's whole life; kill()/close() release it.
-        self.sock = socket.create_connection(address,
-                                             timeout=connect_timeout)
+    def handle(self) -> None:  # noqa: D102 — socketserver API
+        agent = self.server.agent
+        agent._track(self.connection)
         try:
-            self._reader = self.sock.makefile("r", encoding="utf-8")
-            self._writer = self.sock.makefile("w", encoding="utf-8")
-            greeting = self._reader.readline()
-            if not greeting:
-                raise WorkerCrashed(
-                    f"remote worker {self.describe} closed the "
-                    f"connection during the greeting")
-            try:
-                hello = json.loads(greeting)["hello"]
-                schema = hello["schema"]
-            except (ValueError, KeyError, TypeError):
-                raise WorkerCrashed(
-                    f"remote worker {self.describe} sent a non-protocol "
-                    f"greeting ({greeting.strip()[:120]!r}); is a "
-                    f"'repro worker' agent listening there?") from None
-            if schema != SCHEMA_VERSION:
-                raise BackendError(
-                    f"remote worker {self.describe} speaks schema "
-                    f"{schema!r}; this client requires {SCHEMA_VERSION!r}")
-            self.pid = hello.get("pid")
-            # The connect timeout covered dial + greeting; measurements
-            # are unbounded on the socket — the supervision watchdog
-            # owns liveness from here.
-            self.sock.settimeout(None)
-        except BaseException:
-            self.close()
-            raise
-
-    def alive(self) -> bool:
-        return not self._closed and self.killed_reason is None
-
-    def kill(self, reason: str, *, preempted: bool = False) -> None:
-        """Watchdog/scheduler teardown: record the verdict, then sever
-        the socket (which unblocks any reader mid-``readline``)."""
-        self.killed_reason = reason
-        self.killed_preempted = preempted
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-    def _lost(self, detail: str) -> BackendError:
-        """The channel broke: classify watchdog kill vs peer death."""
-        if self.killed_reason is not None:
-            if self.killed_preempted:
-                return WorkerPreempted(self.killed_reason)
-            return WorkerTimeout(self.killed_reason)
-        return WorkerCrashed(detail)
-
-    def measure(self, request: AnalysisRequest,
-                chaos: dict | None = None) -> AnalysisResult:
-        """One framed request/response round trip (raises on loss)."""
-        self.last_beat = time.monotonic()
-        if chaos is None:
-            frame = request.to_json()
-        else:
-            frame = json.dumps({"request": request.to_payload(),
-                                "chaos": chaos}, sort_keys=True)
-        try:
-            self._writer.write(frame + "\n")
-            self._writer.flush()
-            while True:
-                line = self._reader.readline()
-                if not line:
-                    raise self._lost(
-                        f"remote worker {self.describe} closed the "
-                        f"connection mid-request")
-                try:
-                    envelope = json.loads(line)
-                except ValueError:
-                    raise WorkerCrashed(
-                        f"remote worker {self.describe} emitted a "
-                        f"corrupted frame "
-                        f"({line.strip()[:120]!r})") from None
-                if "hb" in envelope:
-                    self.last_beat = time.monotonic()
-                    continue
-                if "error" in envelope:
-                    raise BackendError(
-                        f"remote worker {self.describe} failed: "
-                        f"{envelope['error']}")
-                return AnalysisResult.from_payload(envelope["ok"])
-        except (OSError, ValueError) as exc:
-            raise self._lost(
-                f"remote worker {self.describe} socket failed "
-                f"({exc})") from None
-
-    def close(self) -> None:
-        self._closed = True
-        for stream in (getattr(self, "_reader", None),
-                       getattr(self, "_writer", None)):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass  # flush into a severed socket; already lost
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-class RemotePoolBackend(ExecutionBackend):
-    """Dispatch shards to a configured set of TCP worker agents.
-
-    The procpool's semantics over the network (see module docstring):
-    pooled warm channels, lazy round-robin dialing, supervision with
-    deadline + heartbeat staleness, retryable loss classification, and
-    preemption via channel severing.  A peer that refuses or drops a
-    connection is marked dead for ``dead_cooldown`` seconds so retries
-    reconnect *elsewhere* first; a fully-unreachable fleet raises the
-    retryable :class:`~repro.api.resilience.WorkerCrashed` (the retry
-    backoff doubles as the reconnect probe interval).
-
-    **Lock ordering** (checked by ``repro lint`` and the runtime lock
-    witness): ``_lock`` is a leaf guarding the idle list, the dead map
-    and the counters.  Dialing, measuring, severing and closing channels
-    all happen with the lock dropped — never call into a socket while
-    holding ``_lock``.
-    """
-
-    name = "remote-pool"
-    supports_preempt = True
-    #: Scripted chaos faults ride the wire to the agent (the
-    #: :class:`~repro.api.backends.ChaosBackend` real-injection path).
-    chaos_rider = True
-
-    def __init__(self, workers, max_parallel: int = 0, *,
-                 heartbeat_grace: float | None = 10.0,
-                 poll_interval: float = 0.1,
-                 connect_timeout: float = 5.0,
-                 dead_cooldown: float = 5.0):
-        addresses = tuple(parse_worker_address(worker)
-                          for worker in (workers or ()))
-        if not addresses:
-            raise ValueError(
-                "the remote-pool backend needs at least one worker "
-                "address (workers=['HOST:PORT', ...]); start agents "
-                "with 'repro worker --listen HOST:PORT'")
-        self.addresses = addresses
-        # Two in-flight shards per configured agent by default: one
-        # measuring, one queued behind it on the agent's accept loop.
-        self.parallel = (int(max_parallel)
-                         or max(DEFAULT_MAX_PARALLEL, 2 * len(addresses)))
-        self.heartbeat_grace = heartbeat_grace
-        self.connect_timeout = float(connect_timeout)
-        self.dead_cooldown = float(dead_cooldown)
-        self._dispatch = ThreadBackend(self.parallel)
-        self._supervisor = WorkerSupervisor(poll_interval=poll_interval)
-        self._idle: list[_TcpChannel] = []
-        self._dead: dict[tuple[str, int], float] = {}
-        self._next = 0
-        self._lock = threading.Lock()
-        self._closed = False
-        self._restarts = 0
-        self._connected = 0
-        self._busy = 0
-
-    @property
-    def worker_restarts(self) -> int:
-        """Cumulative lost-channel replacements (crashes + timeouts)."""
-        with self._lock:
-            return self._restarts
-
-    def pool_snapshot(self) -> dict:
-        """Live pool shape for health/queue surfaces."""
-        now = time.monotonic()
-        with self._lock:
-            idle = len(self._idle)
-            busy = self._busy
-            workers = [
-                {"address": f"{host}:{port}",
-                 "dead": (now - self._dead.get((host, port), -1e9)
-                          < self.dead_cooldown)}
-                for host, port in self.addresses]
-            return {"size": idle + busy, "busy": busy, "idle": idle,
-                    "max": self.parallel, "connected": self._connected,
-                    "workers": workers}
-
-    def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None,
-               chaos: dict | None = None, preempt=None):
-        _reject_session_ref(self.name, request)
-
-        def run(req: AnalysisRequest, _chaos=chaos,
-                _preempt=preempt) -> AnalysisResult:
-            return self._run_on_channel(req, chaos=_chaos,
-                                        preempt=_preempt)
-
-        return self._dispatch.submit(request, run, on_start=on_start)
-
-    # --------------------------------------------------------------- pooling
-    def _borrow(self) -> _TcpChannel:
-        stale: list[_TcpChannel] = []
-        channel: _TcpChannel | None = None
-        with self._lock:
-            if self._closed:
-                raise BackendError("remote-pool backend is closed")
-            self._busy += 1
-            while self._idle:
-                candidate = self._idle.pop()  # newest first: warmest
-                if candidate.alive():
-                    channel = candidate
-                    break
-                stale.append(candidate)
-        for dead in stale:
-            dead.close()
-        if channel is not None:
-            return channel
-        try:
-            return self._connect()
-        except BaseException:
-            with self._lock:
-                self._busy -= 1
-            raise
-
-    def _connect(self) -> _TcpChannel:
-        """Dial the next reachable agent (round-robin, dead last)."""
-        now = time.monotonic()
-        with self._lock:
-            start = self._next
-            self._next += 1
-            dead = dict(self._dead)
-        order = [self.addresses[(start + offset) % len(self.addresses)]
-                 for offset in range(len(self.addresses))]
-        fresh = [address for address in order
-                 if now - dead.get(address, -1e9) >= self.dead_cooldown]
-        # With the whole fleet in cooldown there is nothing to prefer —
-        # probe everyone rather than guaranteeing failure.
-        errors = []
-        for address in fresh or order:
-            try:
-                channel = _TcpChannel(address,
-                                      connect_timeout=self.connect_timeout)
-            except (OSError, WorkerCrashed) as exc:
-                errors.append(f"{address[0]}:{address[1]} ({exc})")
-                with self._lock:
-                    self._dead[address] = time.monotonic()
-                continue
-            with self._lock:
-                self._dead.pop(address, None)
-                self._connected += 1
-            return channel
-        raise WorkerCrashed(
-            "no reachable remote worker: " + "; ".join(errors))
-
-    def _run_on_channel(self, request: AnalysisRequest,
-                        chaos: dict | None = None,
-                        preempt=None) -> AnalysisResult:
-        if preempt is not None and preempt.is_set():
-            raise WorkerPreempted(preempt.reason or
-                                  "shard preempted before dispatch")
-        channel = self._borrow()
-        describe = (f"shard {request.fingerprint()[:12]} "
-                    f"on {channel.describe}")
-        timeout = request.options.shard_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        token = self._supervisor.watch(
-            kill=channel.kill, describe=describe, deadline=deadline,
-            beat=lambda: channel.last_beat, grace=self.heartbeat_grace)
-        hook = None
-        if preempt is not None:
-            def hook(reason, _channel=channel):
-                _channel.kill(reason or "shard preempted", preempted=True)
-            preempt.add_hook(hook)
-        try:
-            result = channel.measure(request, chaos=chaos)
-        except BaseException as error:
-            channel.close()          # never reuse a suspect channel
-            with self._lock:
-                self._busy -= 1
-            if isinstance(error, WorkerCrashed) \
-                    and not isinstance(error, WorkerPreempted):
-                with self._lock:
-                    self._dead[channel.address] = time.monotonic()
-                    self._restarts += 1
-                    restarts = self._restarts
-                logger.warning(
-                    "remote worker lost on %s (%s: %s); the next borrow "
-                    "reconnects elsewhere (worker_restarts=%d)",
-                    describe, type(error).__name__, error, restarts)
-            raise
+            serve_frames((raw.decode(errors="replace") for raw in self.rfile),
+                         lambda text: self.wfile.write(text.encode()),
+                         agent.service, crash=agent._crash)
         finally:
-            if hook is not None:
-                preempt.remove_hook(hook)
-            self._supervisor.unwatch(token)
-        with self._lock:
-            self._busy -= 1
-            if not self._closed:
-                self._idle.append(channel)
-                channel = None
-        if channel is not None:
-            channel.close()
-        return result
-
-    def close(self) -> None:
-        self._dispatch.close()       # waits for in-flight borrows
-        self._supervisor.close()
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for channel in idle:
-            channel.close()
+            agent._untrack(self.connection)
 
 
 # ------------------------------------------------------------- coordinator

@@ -23,8 +23,8 @@ exceptions that kill a multi-shard job:
 * **Worker supervision** — :class:`WorkerSupervisor` is a poll-loop
   watchdog enforcing per-shard wall-clock deadlines
   (``ExecutionOptions.shard_timeout``) and heartbeat freshness on the
-  procpool's persistent workers, killing hung (not just dead) processes
-  so their shard requeues.
+  worker pool's persistent workers, killing hung (not just dead)
+  workers so their shard requeues.
 * **Graceful degradation** — :class:`ServiceHealth` latches a
   ``degraded`` flag after a threshold of consecutive infrastructure
   failures; the service then measures remaining shards on the inline

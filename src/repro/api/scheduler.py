@@ -373,12 +373,11 @@ class ShardQueue:
         ``worker_restarts`` is the backend's cumulative crashed/killed
         worker replacement count (0 for backends without a pool);
         ``tenants`` breaks queued/running/completed/preempted counts
-        down per tenant; ``pool`` is the elastic procpool's size
-        snapshot when the backend exposes one.
+        down per tenant; ``pool`` is the worker pool's shape when the
+        backend owns one.
         """
-        restarts = int(getattr(self.backend, "worker_restarts", 0) or 0)
-        pool_snapshot = getattr(self.backend, "pool_snapshot", None)
-        pool = pool_snapshot() if callable(pool_snapshot) else None
+        restarts = self.backend.worker_restarts
+        pool = self.backend.pool_snapshot()
         with self._lock:
             queued = self._queued_locked()
             running_by: dict[str, int] = {}
@@ -397,7 +396,7 @@ class ShardQueue:
                                     and queued >= self.limit),
                       "worker_restarts": restarts,
                       "tenants": tenants}
-        if pool is not None:
+        if pool:
             result["pool"] = pool
         return result
 
@@ -682,8 +681,7 @@ class ShardQueue:
             self._pump()
 
         kwargs: dict = {"on_start": entry.on_start}
-        if entry.preempt is not None and getattr(self.backend,
-                                                 "supports_preempt", False):
+        if entry.preempt is not None and self.backend.supports_preempt:
             kwargs["preempt"] = entry.preempt
         try:
             inner = self.backend.submit(entry.request, guarded, **kwargs)

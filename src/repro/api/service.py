@@ -23,8 +23,8 @@ piece of lifecycle the one-shot scripts used to hand-thread:
   return :class:`AnalysisHandle` objects immediately; *where* the
   measurement runs is a pluggable :mod:`~repro.api.backends` backend
   (``inline`` — the blocking equivalence reference, ``threads`` —
-  cross-request parallelism, ``subprocess`` — schema-JSON worker
-  processes, ``procpool`` — persistent warm workers).
+  cross-request parallelism, ``procpool``/``remote-pool`` — one warm
+  worker pool over child processes or TCP agents).
   :meth:`run`/:meth:`run_many` are the thin blocking wrappers with the
   pre-redesign call semantics.
 * **Sharding** — the scheduler (:mod:`~repro.api.scheduler`) splits
@@ -424,8 +424,8 @@ class ResilienceService:
         directory) or ``"shared"`` (a fleet-mounted root; see
         :class:`~repro.api.store.SharedFSLayout`).
     backend:
-        Execution backend name (``inline``/``threads``/``subprocess``/
-        ``procpool``/``remote-pool``) or a prebuilt
+        Execution backend name (``inline``/``threads``/``procpool``/
+        ``remote-pool``) or a prebuilt
         :class:`~repro.api.backends.ExecutionBackend`.  Validated through
         :func:`~repro.api.backends.make_backend` — invalid combinations
         with ``max_parallel`` error loudly.
@@ -1249,8 +1249,8 @@ class ResilienceService:
         """Reject measurements of a model/dataset other than the keyed one.
 
         In-process backends measure the very objects the key was
-        computed from, so this never fires there.  A ``subprocess``
-        worker re-resolves the ref in a fresh process — if the parent's
+        computed from, so this never fires there.  A pool worker
+        re-resolves the ref in its own process — if the parent's
         in-process model has been mutated (e.g. the X2 ablation's
         ``routing_iterations`` edits), the worker measures the pristine
         zoo state and its curves must NOT be filed under the mutated
@@ -1345,8 +1345,8 @@ class ResilienceService:
 
         This is the runner handed to the backend: it may execute on the
         submitting thread (``inline``) or on a pool thread
-        (``threads``); the ``subprocess``/``procpool`` backends run the
-        same logic in workers via :func:`repro.api.backends.worker_main`.
+        (``threads``); the ``procpool``/``remote-pool`` backends run the
+        same logic in workers via :func:`repro.api.backends.serve_frames`.
         Engine access serialises on the engine's own lock, so concurrent
         measurements of *different* engines overlap.  ``cancel`` is the
         group's cooperative flag, polled by the sweep engine at stage

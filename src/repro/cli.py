@@ -297,7 +297,7 @@ def _flag_conflicts(args) -> str | None:
                     f"(drop the flag or configure the server)")
     if args.max_parallel is not None and args.backend == "inline":
         return ("--max-parallel needs a parallel backend; add "
-                "--backend threads or --backend subprocess")
+                "--backend threads or --backend procpool")
     return _worker_flag_conflict(args)
 
 
@@ -371,7 +371,8 @@ def _add_backend_flags(parser) -> None:
                              "(see repro.api.backends)")
     parser.add_argument("--max-parallel", type=int, default=None,
                         help="max concurrent shard executions "
-                             "(threads/subprocess backends only)")
+                             "(threads, procpool and remote-pool "
+                             "backends)")
     parser.add_argument("--worker", action="append", default=None,
                         metavar="HOST:PORT",
                         help="remote worker agent for --backend "

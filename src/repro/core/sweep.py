@@ -158,7 +158,7 @@ class ExecutionOptions:
     ``max_retries`` and ``shard_timeout`` are the fault-tolerance knobs
     (how many times a failed shard requeues; the per-shard wall-clock
     deadline enforced by the worker-supervision watchdog on the
-    ``procpool``/``subprocess`` backends).  Like ``workers`` they are
+    ``procpool``/``remote-pool`` backends).  Like ``workers`` they are
     result-invariant — a retried or timed-out-and-replayed shard is
     byte-identical because every noise stream derives statelessly — so
     they serialise on the wire but stay out of :meth:`cache_key`.

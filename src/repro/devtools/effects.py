@@ -8,7 +8,7 @@ deadlock the moment the blocked-on work itself needs that lock (the
 classic ``Future.result()``-under-lock trap).  This matters most in the
 service stack, whose locks are documented leaf/short-critical-section
 locks precisely so lock holders never talk to workers
-(`ProcPoolBackend` docstring, ``api/backends.py``).
+(`PoolBackend` docstring, ``api/backends.py``).
 
 The analyzer rides on :class:`~repro.devtools.lockorder.LockOrderAnalyzer`'s
 held-region tracking (``with`` blocks and linear ``acquire``/``release``

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import select
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import (AnalysisRequest, BackendError, ExecutionOptions,
-                       InlineBackend, ModelRef, ResilienceService,
-                       ShardMismatch, make_backend, merge_shards, plan_shards)
+from repro.api import (AnalysisRequest, ExecutionOptions, InlineBackend,
+                       ModelRef, ResilienceService, ShardMismatch,
+                       make_backend, merge_shards, plan_shards)
 from repro.core import ResilienceCurve, ResiliencePoint
 from repro.core.sweep import SweepEngine, SweepTarget
 
@@ -312,22 +313,16 @@ class TestConcurrencyStress:
         assert stats.executed + stats.deduplicated == 10
 
 
-class TestSubprocessBackend:
-    def test_session_refs_rejected_loudly(self, service, session_request):
-        svc = service(use_store=False, backend="subprocess", max_parallel=1)
-        handle = svc.submit(session_request(svc))
-        with pytest.raises(BackendError, match="session ref"):
-            handle.result(timeout=60)
-
+class TestProcPoolProvenance:
     def test_mutated_zoo_model_rejected_not_silently_mismeasured(
             self, service):
-        """Review regression: a subprocess worker re-resolves the zoo ref
-        and measures the *pristine* model; if the parent mutated its
+        """Review regression: a pool worker re-resolves the zoo ref and
+        measures the *pristine* model; if the parent mutated its
         in-process copy (the X2 ablation pattern), filing the worker's
         curves under the mutated fingerprint would silently report
         unmutated results for every mutation.  The provenance check must
         fail the job loudly instead."""
-        svc = service(use_store=False, backend="subprocess", max_parallel=1)
+        svc = service(use_store=False, backend="procpool", max_parallel=1)
         ref = ModelRef(benchmark="CapsNet/MNIST")
         model = svc.entry(ref).model
         routed = [module for module in model.modules()
@@ -336,10 +331,7 @@ class TestSubprocessBackend:
         try:
             for module in routed:
                 module.routing_iterations += 2
-            handle = svc.submit(AnalysisRequest(
-                model=ref, targets=(("softmax", None),),
-                nm_values=(0.5, 0.0), eval_samples=32,
-                options=ExecutionOptions(batch_size=32)))
+            handle = svc.submit(_zoo_request())
             with pytest.raises(RuntimeError,
                                match="model fingerprint"):
                 handle.result(timeout=120)
@@ -348,20 +340,37 @@ class TestSubprocessBackend:
                 module.routing_iterations = value
 
 
+def _zoo_request(seed: int = 0) -> AnalysisRequest:
+    return AnalysisRequest(
+        model=ModelRef(benchmark="CapsNet/MNIST"),
+        targets=(("softmax", None),), nm_values=(0.5, 0.0), seed=seed,
+        eval_samples=32, options=ExecutionOptions(batch_size=32))
+
+
+@pytest.fixture()
+def worker_logs(monkeypatch, tmp_path):
+    """Every pipe worker's log path, created under ``tmp_path``."""
+    from repro.api import backends
+    paths = []
+    real_mkstemp = backends.tempfile.mkstemp
+
+    def recording_mkstemp(**kwargs):
+        handle, path = real_mkstemp(dir=str(tmp_path), **kwargs)
+        paths.append(path)
+        return handle, path
+
+    monkeypatch.setattr(backends.tempfile, "mkstemp", recording_mkstemp)
+    return paths
+
+
 class TestPoolWorkerSpawn:
     def test_failed_spawn_releases_the_log_file(self, monkeypatch,
-                                                tmp_path):
+                                                tmp_path, worker_logs):
         """A ``Popen`` that raises must not strand the worker's log fd
         or leave its temp file behind."""
         from repro.api import backends
-        paths, streams = [], []
-        real_mkstemp = backends.tempfile.mkstemp
+        streams = []
         real_fdopen = os.fdopen
-
-        def recording_mkstemp(**kwargs):
-            handle, path = real_mkstemp(dir=str(tmp_path), **kwargs)
-            paths.append(path)
-            return handle, path
 
         def recording_fdopen(*args, **kwargs):
             stream = real_fdopen(*args, **kwargs)
@@ -371,12 +380,78 @@ class TestPoolWorkerSpawn:
         def failing_popen(*args, **kwargs):
             raise OSError("spawn refused")
 
-        monkeypatch.setattr(backends.tempfile, "mkstemp", recording_mkstemp)
         monkeypatch.setattr(backends.os, "fdopen", recording_fdopen)
         monkeypatch.setattr(backends.subprocess, "Popen", failing_popen)
         with pytest.raises(OSError, match="spawn refused"):
-            backends._PoolWorker()
-        [path], [stream] = paths, streams
+            backends._PipeTransport.open()
+        [path], [stream] = worker_logs, streams
         assert stream.closed
         assert not os.path.exists(path)
         assert not os.listdir(tmp_path)
+
+    def test_dead_idle_worker_is_skipped_and_closed_outside_the_lock(
+            self, service, worker_logs):
+        """An idle pipe worker that died is skipped by the next borrow,
+        which spawns a replacement; the dead one is closed (its log
+        removed) only after the pool lock is released — closing does
+        file I/O and reaps a process."""
+        svc = service(use_store=False, backend="procpool", max_parallel=1)
+        svc.run(_zoo_request(seed=1))
+        backend = svc.backend
+        [(dead, _)] = backend._idle
+        dead._sever()                               # SIGKILL, no verdict
+        assert select.select([dead.reader], [], [], 30)[0]  # EOF: gone
+        lock_held_at_close = []
+        real_close = dead.close
+
+        def watched_close():
+            lock_held_at_close.append(backend._lock.locked())
+            real_close()
+
+        dead.close = watched_close
+        assert svc.run(_zoo_request(seed=2)).baseline_accuracy > 0
+        assert lock_held_at_close == [False]
+        [(fresh, _)] = backend._idle
+        assert fresh is not dead and fresh.alive()
+        assert not os.path.exists(worker_logs[0])
+        assert os.path.exists(worker_logs[1])
+        assert backend.pool_snapshot()["spawned"] == 2
+        assert backend.worker_restarts == 0   # a skip is not a lost shard
+
+    def test_worker_wedged_before_its_greeting_is_a_timeout(self):
+        """The greeting is read under the supervisor's watch: a worker
+        that never greets ends as a WorkerTimeout, never a hang."""
+        import subprocess
+        import sys
+        from repro.api import WorkerTimeout
+        from repro.api.backends import Channel, PoolBackend
+
+        class WedgedTransport:
+            noun = "wedged worker"
+
+            @staticmethod
+            def open() -> Channel:
+                process = subprocess.Popen(
+                    [sys.executable, "-c", "import time; time.sleep(60)"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+                return Channel(process.stdout, process.stdin,
+                               label=f"wedged worker pid {process.pid}",
+                               sever=process.kill, release=process.wait)
+
+            @staticmethod
+            def lost(origin) -> None:
+                pass
+
+            @staticmethod
+            def snapshot() -> dict:
+                return {}
+
+        backend = PoolBackend(WedgedTransport(), 1, heartbeat_grace=0.5,
+                              poll_interval=0.05)
+        try:
+            future = backend.submit(_zoo_request(), runner=None)
+            with pytest.raises(WorkerTimeout, match="heartbeats stale"):
+                future.result(timeout=60)
+            assert backend.worker_restarts == 1
+        finally:
+            backend.close()

@@ -12,6 +12,7 @@ splice + reroute (or a loud 502 when nothing is left).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -77,7 +78,48 @@ def service(tmp_path):
 
 
 # ========================================================= worker protocol
+#: The two transports of the one worker loop (``serve_frames``): a
+#: ``--pool-worker`` child's stdin/stdout, and a TCP agent connection.
+TRANSPORTS = ("pipe", "tcp")
+
+
+@contextlib.contextmanager
+def _worker_stream(transport, agents):
+    """``(readline, write_line)`` on a fresh connection to a worker over
+    ``transport``, before its greeting is read."""
+    if transport == "pipe":
+        from repro.api.backends import _PipeTransport
+        channel = _PipeTransport.open()
+        try:
+            yield channel.reader.readline, \
+                lambda text: _write_line(channel.writer, text)
+        finally:
+            channel.close()
+        return
+    with socket.create_connection(
+            parse_worker_address(agents[0].address), timeout=5) as sock:
+        stream = sock.makefile("rw", encoding="utf-8")
+        yield stream.readline, lambda text: _write_line(stream, text)
+
+
+def _write_line(stream, text: str) -> None:
+    stream.write(text + "\n")
+    stream.flush()
+
+
+def _answer(readline) -> dict:
+    """The next non-heartbeat frame."""
+    for _ in range(100):
+        envelope = json.loads(readline())
+        if "hb" not in envelope:
+            return envelope
+    raise AssertionError("only heartbeats, no answer")
+
+
 class TestWorkerProtocol:
+    """The framed worker protocol, on both transports (each test runs
+    the pipe worker and a TCP agent in turn)."""
+
     def test_parse_worker_address(self):
         assert parse_worker_address("127.0.0.1:9035") == ("127.0.0.1", 9035)
         assert parse_worker_address(("h", "7")) == ("h", 7)
@@ -87,40 +129,46 @@ class TestWorkerProtocol:
 
     def test_connection_opens_with_hello_greeting(self, agents):
         from repro.api import SCHEMA_VERSION
-        with socket.create_connection(
-                parse_worker_address(agents[0].address), timeout=5) as sock:
-            stream = sock.makefile("r", encoding="utf-8")
-            hello = json.loads(stream.readline())["hello"]
-            assert hello["schema"] == SCHEMA_VERSION
-            assert hello["pid"] > 0
+        for transport in TRANSPORTS:
+            with _worker_stream(transport, agents) as (readline, _):
+                hello = json.loads(readline())["hello"]
+                assert hello["schema"] == SCHEMA_VERSION, transport
+                assert hello["pid"] > 0, transport
 
     def test_undecodable_frame_answers_error_envelope(self, agents):
-        with socket.create_connection(
-                parse_worker_address(agents[0].address), timeout=5) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            stream.readline()                       # the hello frame
-            stream.write("{torn garbage\n")
-            stream.flush()
-            envelope = json.loads(stream.readline())
-            assert "undecodable frame" in envelope["error"]
-            # The connection survives a bad frame — a second one answers
-            # too (the agent never wedges on garbage input).
-            stream.write("[1, 2]\n")
-            stream.flush()
-            assert "error" in json.loads(stream.readline())
+        for transport in TRANSPORTS:
+            with _worker_stream(transport, agents) as (readline, write):
+                readline()                          # the hello frame
+                write("{torn garbage")
+                envelope = json.loads(readline())
+                assert "undecodable frame" in envelope["error"], transport
+                # The channel survives a bad frame — a second one
+                # answers too (the worker never wedges or dies on
+                # garbage input).
+                write("[1, 2]")
+                assert "non-object" in json.loads(readline())["error"], \
+                    transport
+
+    def test_non_object_chaos_rider_answers_error_envelope(self, agents):
+        """A chaos rider that is not an object is a malformed frame, not
+        a worker crash (which the client would retry)."""
+        rider = json.dumps({"request": _zoo_request().to_payload(),
+                            "chaos": 5})
+        for transport in TRANSPORTS:
+            with _worker_stream(transport, agents) as (readline, write):
+                readline()
+                write(rider)
+                envelope = json.loads(readline())
+                assert "non-object" in envelope["error"], transport
+                write("[]")                         # still serving
+                assert "error" in json.loads(readline()), transport
 
     def test_bad_request_payload_is_error_envelope_not_death(self, agents):
-        with socket.create_connection(
-                parse_worker_address(agents[0].address), timeout=5) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            stream.readline()
-            stream.write(json.dumps({"schema": -1}) + "\n")
-            stream.flush()
-            for _ in range(50):                     # skip heartbeats
-                envelope = json.loads(stream.readline())
-                if "hb" not in envelope:
-                    break
-            assert "error" in envelope
+        for transport in TRANSPORTS:
+            with _worker_stream(transport, agents) as (readline, write):
+                readline()
+                write(json.dumps({"schema": -1}))
+                assert "error" in _answer(readline), transport
 
 
 # ========================================================== remote pool
@@ -183,20 +231,25 @@ class TestRemotePool:
 
     def test_non_worker_peer_is_classified(self, service):
         """Dialing a live TCP endpoint that is not a worker agent (here:
-        an HTTP server) fails the greeting loudly instead of wedging on
-        a half-open protocol."""
+        an HTTP server, which stays silent until it gets a request)
+        fails the greeting loudly instead of wedging on a half-open
+        protocol.  Each attempt waits out the connect timeout on the
+        greeting, so a short one keeps the classification prompt."""
         node_service = ResilienceService(use_store=False)
         server = AnalysisServer(node_service).start()
         try:
             host_port = server.address[len("http://"):]
             svc = service(cache_dir=None, use_store=False,
-                          backend="remote-pool", retry_policy=FAST,
-                          workers=[host_port])
+                          backend=RemotePoolBackend([host_port],
+                                                    connect_timeout=0.5),
+                          retry_policy=FAST)
+            started = time.monotonic()
             with pytest.raises(ShardPoisoned, match="WorkerCrashed"):
                 svc.run(_zoo_request(
                     seed=24, targets=(("softmax", None),),
                     options=ExecutionOptions(batch_size=32,
                                              max_retries=1)))
+            assert time.monotonic() - started < 5
         finally:
             server.shutdown()
             node_service.close()
@@ -205,10 +258,12 @@ class TestRemotePool:
         """Satellite: the wire dying mid-frame surfaces as the retryable
         WorkerCrashed (the dispatch path's taxonomy), not a hang or a
         torn result."""
-        from repro.api.cluster import _TcpChannel
         from repro.api import WorkerCrashed
+        from repro.api.backends import _TcpTransport
         victim = WorkerAgent().start()
-        channel = _TcpChannel(parse_worker_address(victim.address))
+        channel = _TcpTransport((parse_worker_address(victim.address),),
+                                connect_timeout=5.0,
+                                dead_cooldown=5.0).open()
         try:
             killer = threading.Timer(0.3, victim.die)
             killer.start()

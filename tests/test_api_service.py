@@ -10,7 +10,7 @@ Three kinds of armor:
   warm (store-served) run.
 * **Backend golden compatibility** (ISSUE 4) — the same byte-identity
   must hold through every execution backend (``inline``, ``threads``,
-  ``subprocess``) and through the scheduler's shard-merge (per-target
+  ``procpool``) and through the scheduler's shard-merge (per-target
   and NM-chunk), proving the futures-first redesign changed *where*
   measurements run, never *what* they measure.
 * **Concurrency/batching smoke** — concurrent submissions are safe and
@@ -116,8 +116,7 @@ BACKEND_CONFIGS = {
     "threads-sharded": {"backend": "threads", "max_parallel": 2},
     "threads-nm-chunks": {"backend": "threads", "max_parallel": 2,
                           "nm_chunk": 2},
-    "subprocess-sharded": {"backend": "subprocess", "max_parallel": 2},
-    "subprocess-whole": {"backend": "subprocess", "max_parallel": 1},
+    "procpool-whole": {"backend": "procpool", "max_parallel": 1},
     "procpool-sharded": {"backend": "procpool", "max_parallel": 2},
     "procpool-nm-chunks": {"backend": "procpool", "max_parallel": 2,
                            "nm_chunk": 2},
@@ -153,7 +152,7 @@ class TestBackendGoldenCompat:
         assert text == fig9_direct, config
 
     @pytest.mark.parametrize("config", ["threads-sharded",
-                                        "subprocess-whole"])
+                                        "procpool-whole"])
     def test_fig10_quick_byte_identical_on_parallel_backends(
             self, tmp_path, fig10_direct, config):
         text = self._run_with(tmp_path, BACKEND_CONFIGS[config],

@@ -37,8 +37,8 @@ from concurrent.futures import Future
 import pytest
 
 from repro.api import (AnalysisRequest, AnalysisResult, AnalysisServer,
-                       ExecutionOptions, Fault, FaultPlan, ModelRef,
-                       ProcPoolBackend, QueueFull, RemoteService,
+                       ExecutionBackend, ExecutionOptions, Fault, FaultPlan,
+                       ModelRef, ProcPoolBackend, QueueFull, RemoteService,
                        ResilienceService, ResultStore, RetryPolicy)
 from repro.api.events import PreemptToken
 from repro.api.scheduler import DEFAULT_TENANT, ShardQueue
@@ -143,7 +143,7 @@ class TestClientIdentity:
 
 
 # ====================================================== deficit round-robin
-class _ManualBackend:
+class _ManualBackend(ExecutionBackend):
     """Backend double: records dispatch order, completes on demand."""
 
     parallel = 1
@@ -304,7 +304,7 @@ class TestStarvedPreemption:
 
 
 # ===================================================== backpressure EMA fix
-class _InlineBackend:
+class _InlineBackend(ExecutionBackend):
     """Backend double that runs the shard on the submitting thread."""
 
     parallel = 1
