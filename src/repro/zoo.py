@@ -4,7 +4,10 @@ The resilience experiments evaluate one trained model under dozens of
 noise configurations; retraining per experiment would dominate runtime.
 ``get_trained`` trains (model preset, dataset) pairs on demand and caches
 the weights on disk (``.artifacts/zoo`` by default) keyed by every
-hyper-parameter that affects the result.
+hyper-parameter that affects the result.  :func:`default_test_split`
+caches the default test splits next to them (``splits/``), keyed by
+their descriptor and by a revision of the code that synthesizes them,
+so a cold worker loads its split instead of synthesizing it.
 
 The five paper benchmarks (Table II) map to these zoo entries:
 
@@ -21,8 +24,10 @@ CapsNet / MNIST       capsnet-micro       synth-mnist
 
 from __future__ import annotations
 
+import logging
 import os
 import uuid
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +40,8 @@ from .train import TrainConfig, Trainer, evaluate_accuracy
 __all__ = ["ZooEntry", "PAPER_BENCHMARKS", "get_trained", "benchmark_entry",
            "benchmark_coords", "load_trained_model", "default_test_split",
            "default_test_descriptor", "model_layer_names", "zoo_cache_dir"]
+
+logger = logging.getLogger("repro.zoo")
 
 #: Default training/evaluation knobs shared by :func:`get_trained` and the
 #: weights-only fast path (:func:`load_trained_model`).
@@ -68,7 +75,8 @@ class ZooEntry:
 
 
 def zoo_cache_dir() -> str:
-    """Directory for cached weights (override with ``REPRO_ZOO_DIR``)."""
+    """Directory for cached weights and test splits (override with
+    ``REPRO_ZOO_DIR``)."""
     root = os.environ.get("REPRO_ZOO_DIR")
     if root is None:
         root = os.path.join(os.path.dirname(os.path.dirname(
@@ -91,11 +99,11 @@ def get_trained(preset: str, dataset_name: str, *,
                 use_cache: bool = True) -> ZooEntry:
     """Return a trained model for (preset, dataset), training if uncached.
 
-    The dataset splits are regenerated deterministically; only the
-    weights are cached on disk.  Code that needs just the test split
-    (the :mod:`repro.api` service and its workers) goes through
-    :func:`default_test_split`, which synthesizes each split once per
-    process and shares it read-only.
+    The train and test splits returned here are regenerated
+    deterministically; only the weights are cached on disk.  Code that
+    needs just the test split (the :mod:`repro.api` service and its
+    workers) goes through :func:`default_test_split`, which loads it
+    from the split cache once per process and shares it read-only.
     """
     channels, size, _ = dataset_image_shape(dataset_name)
     train_set, test_set = make_split(dataset_name, num_train, num_test,
@@ -115,22 +123,23 @@ def get_trained(preset: str, dataset_name: str, *,
     Trainer(model, config).fit(train_set)
     accuracy = evaluate_accuracy(model, test_set)
     if use_cache:
-        _save_weights(path, model.state_dict())
+        _save_npz(path, model.state_dict())
     return ZooEntry(preset, dataset_name, model, train_set, test_set,
                     accuracy, from_cache=False)
 
 
-def _save_weights(path: str, state: dict) -> None:
-    """Write ``state`` to ``path`` atomically.
+def _save_npz(path: str, arrays: dict, *, compressed: bool = True) -> None:
+    """Write ``arrays`` to ``path`` atomically.
 
-    Cold workers may train the same model at once; writing to a sibling
-    temp file and ``os.replace``-ing it means a concurrent
-    :func:`load_trained_model` sees either no file or a complete one.
+    Cold workers may train the same model, or synthesize the same test
+    split, at once; writing to a sibling temp file and ``os.replace``-ing
+    it means a concurrent reader sees either no file or a complete one.
     """
     tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+    save = np.savez_compressed if compressed else np.savez
     try:
         with open(tmp_path, "wb") as stream:
-            np.savez_compressed(stream, **state)
+            save(stream, **arrays)
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
@@ -202,7 +211,10 @@ def default_test_split(dataset_name: str, *,
 
     Memoized per process on ``(dataset_name, num_test, seed)`` — the
     same values :func:`default_test_descriptor` keys the result store
-    by — so models sharing a dataset synthesize it once.  The returned
+    by — so models sharing a dataset resolve it once.  A memo miss
+    loads the split from ``zoo_cache_dir()/splits``; only when that file
+    is absent, stale or fails its CRC is the split synthesized (which
+    imports scipy) and the file rewritten.  The returned
     ``images``/``labels`` are read-only because every caller shares them.
     """
     return _memo_test_split(dataset_name, num_test, seed)
@@ -210,10 +222,67 @@ def default_test_split(dataset_name: str, *,
 
 @lru_cache(maxsize=None)
 def _memo_test_split(dataset_name: str, num_test: int, seed: int) -> Dataset:
-    split = make_dataset(dataset_name, num_test, seed=seed + 10_000)
+    path = _split_path(dataset_name, num_test, seed)
+    split = _load_split(path, dataset_name, num_test)
+    if split is None:
+        split = make_dataset(dataset_name, num_test, seed=seed + 10_000)
+        arrays = {"images": split.images, "labels": split.labels,
+                  "crc": np.uint32(_split_crc(split.images, split.labels))}
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _save_npz(path, arrays, compressed=False)
+        except OSError as error:
+            logger.warning("could not cache test split %s: %s", path, error)
     split.images.flags.writeable = False
     split.labels.flags.writeable = False
     return split
+
+
+def _split_path(dataset_name: str, num_test: int, seed: int) -> str:
+    key = f"{dataset_name}__n{num_test}__s{seed}__{_split_rev():08x}"
+    return os.path.join(zoo_cache_dir(), "splits", key + ".npz")
+
+
+def _split_rev() -> int:
+    """CRC of what decides a synthesized split's bytes: the generator
+    sources and the numpy and scipy versions.  scipy's version comes
+    from its installed metadata, so this never imports scipy."""
+    from importlib import metadata
+    data_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data")
+    crc = 0
+    for source in ("synth.py", "datasets.py"):
+        with open(os.path.join(data_dir, source), "rb") as stream:
+            crc = zlib.crc32(stream.read(), crc)
+    versions = f"{np.__version__}|{metadata.version('scipy')}"
+    return zlib.crc32(versions.encode(), crc)
+
+
+def _split_crc(images: np.ndarray, labels: np.ndarray) -> int:
+    return zlib.crc32(labels, zlib.crc32(images))
+
+
+def _load_split(path: str, dataset_name: str,
+                num_test: int) -> Dataset | None:
+    """The split cached at ``path``, or ``None`` when there is none or
+    it is not exactly what :func:`make_dataset` would synthesize."""
+    channels, size, _ = dataset_image_shape(dataset_name)
+    try:
+        with np.load(path) as archive:
+            images, labels = archive["images"], archive["labels"]
+            crc = int(archive["crc"])
+    except FileNotFoundError:
+        return None
+    except Exception as error:  # any unreadable file is a cache miss
+        logger.warning("rewriting unreadable test split %s: %s", path, error)
+        return None
+    if (images.dtype != np.float32 or labels.dtype != np.int64
+            or images.shape != (num_test, channels, size, size)
+            or labels.shape != (num_test,)
+            or crc != _split_crc(images, labels)):
+        logger.warning("rewriting corrupt test split %s", path)
+        return None
+    return Dataset(images, labels, name=dataset_name)
 
 
 def default_test_descriptor(dataset_name: str, *,
