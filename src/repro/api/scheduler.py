@@ -6,10 +6,10 @@ draws is derived statelessly per (seed, site, batch), and the clean
 baseline is a deterministic function of (model, dataset, batch size) —
 so measuring each target in its own sub-request produces *byte-identical*
 curves to one union sweep.  The NM axis factors the same way: the
-stacked injector's base draw is shared per (site, batch) across chunk
-boundaries, and the exact tier derives one stream per (seed, site) point
-independently, so splitting ``nm_values`` into chunks never changes the
-noise any point receives.
+stacked injector's base draw derives statelessly per (site, batch) and
+is reused across chunk boundaries, and the exact tier derives one stream
+per (seed, site) point independently, so splitting ``nm_values`` into
+chunks never changes the noise any point receives.
 
 :func:`plan_shards` turns one request into per-target (and optionally
 NM-chunked) shard requests; :func:`merge_shards` reassembles their

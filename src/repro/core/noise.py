@@ -108,12 +108,13 @@ class StackedNoiseInjector:
     slice (common random numbers), so a whole NM curve costs a single
     evaluation's worth of RNG work and the per-point curves come out
     smoother than with independent draws.  Streams are derived from
-    ``(seed, salt, site)``, making results independent of which other
-    targets are swept and of the requested NM set.
+    ``(seed, salt, site, batch)``, making results independent of which
+    other targets are swept and of the requested NM set.  The draws live
+    in a private cache that holds the current batch only.
     """
 
     def __init__(self, specs, *, seed: int = 0, salt: str = "",
-                 uniform_sites=frozenset(), base_cache=None):
+                 uniform_sites=frozenset()):
         self.seed = seed
         self.salt = salt
         #: Sites whose pre-noise slices are known identical (the first
@@ -121,11 +122,7 @@ class StackedNoiseInjector:
         #: the per-slice range reduce to one slice's range.
         self.uniform_sites = frozenset(uniform_sites)
         self._batch_index = 0
-        # A caller-provided cache shares base draws across injectors
-        # (e.g. across a sweep's targets); a private cache is dropped
-        # whenever the batch changes to bound memory.
-        self._shared = base_cache is not None
-        self._base: dict = base_cache if base_cache is not None else {}
+        self._base: dict = {}  # site -> base draw of the current batch
         self.set_specs(specs)
 
     def set_specs(self, specs) -> None:
@@ -140,30 +137,29 @@ class StackedNoiseInjector:
         self._nas = np.array([spec.na for spec in self.specs], np.float32)
 
     def begin_batch(self, index: int = 0) -> None:
-        """Invalidate cached base draws (call when the batch changes).
+        """Drop the previous batch's base draws (call when the batch
+        changes).
 
         Base draws are derived statelessly from ``(seed, salt, site,
         batch index)``, so the noise a point receives is independent of
         chunking, of the other targets swept, and of any worker-pool
-        partitioning — and two targets sharing a site share its draw
-        (common random numbers across targets, which *pairs* the curves
-        the methodology compares).
+        partitioning — and two targets sharing a site draw the same noise
+        there (common random numbers across targets, which *pairs* the
+        curves the methodology compares).
         """
         self._batch_index = index
-        if not self._shared:
-            self._base.clear()
+        self._base.clear()
 
     def _base_draw(self, site: InjectionSite,
                    shape: tuple[int, ...]) -> np.ndarray:
-        key = (site, self._batch_index)
-        z = self._base.get(key)
+        z = self._base.get(site)
         if z is None:
             site_key = zlib.crc32(
                 f"{self.salt}|{site.layer}|{site.group}|{site.tag}".encode())
             rng = np.random.default_rng(
                 (self.seed, site_key, self._batch_index))
             z = rng.standard_normal(size=shape, dtype=np.float32)
-            self._base[key] = z
+            self._base[site] = z
         return z
 
     def affine_deltas(self, site: InjectionSite, value: np.ndarray) -> list:
@@ -209,7 +205,12 @@ class StackedNoiseInjector:
         stds = (self._nms * vrange).reshape(broadcast)
         means = (self._nas * vrange).reshape(broadcast)
         z = self._base_draw(site, slices.shape[1:])
-        return (slices + z[None] * stds + means).reshape(value.shape)
+        # ``slices + z*stds + means`` in one buffer (addition commutes, so
+        # the bits are the same).
+        noisy = z[None] * stds
+        noisy += slices
+        noisy += means
+        return noisy.reshape(value.shape)
 
     def reset(self) -> None:
         """Drop cached base draws (restores rerun determinism)."""

@@ -10,18 +10,22 @@ finishes that thought at the execution layer with an observe/replay model:
 1. **Prefix-activation caching** — one clean forward per test batch runs
    the model through its :meth:`~repro.nn.Module.forward_stages`
    decomposition with a :class:`~repro.nn.hooks.SiteRecorder` observing
-   every emitted site, caching each stage's output state and attributing
-   each injection site to the stage that emits it.  A sweep target then
-   *replays* from the cached state just before its first injected site
-   instead of recomputing the clean prefix.  Stage boundaries sit right
-   before each layer's emits, so even a target on a layer's own MAC
-   outputs skips that layer's GEMM.
+   every emitted site, caching each non-affine stage's output state and
+   attributing each injection site to the stage that emits it.  A sweep
+   target then *replays* from the clean state just before its first
+   injected site instead of recomputing the clean prefix.  An affine
+   stage's output (a conv pre-activation or a vote tensor) is not kept:
+   it is recomputed by one clean application of the stage to its stored
+   input, once per (target, batch) — per (point, batch) on ``cached`` —
+   which keeps the trace at roughly a quarter (CapsNet) to a half
+   (DeepCaps) of the full per-stage bytes.
 2. **Sweep-axis vectorisation** — the models are batch-agnostic, so all
    noisy NM values of a target are stacked along the batch axis and one
    replayed forward covers the entire NM curve.  The
    :class:`~repro.core.noise.StackedNoiseInjector` draws per-slice noise
    scales from per-slice value ranges (common random numbers across the
-   NM axis).  NM = 0 points are read off the cached clean predictions for
+   NM axis) and keeps its standard-normal draws for the current batch
+   only.  NM = 0 points are read off the cached clean predictions for
    free.
 3. **Shared-votes routing** — a target that resumes at a dynamic-routing
    stage (its first injected site is the vote tensor or one of the
@@ -293,7 +297,9 @@ class _BatchTrace:
 
     inputs: np.ndarray
     labels: np.ndarray
-    states: list          # per-stage output state (Tensor or tuple of Tensors)
+    #: Per-stage output state (Tensor or tuple of Tensors); ``None`` for
+    #: an affine stage, whose output is recomputed on demand.
+    states: list
     predictions: np.ndarray
 
 
@@ -307,7 +313,15 @@ class _CleanTrace:
     site_terminal: dict[InjectionSite, bool]
     batches: list[_BatchTrace]
     clean_accuracy: float
+    #: Output bytes of each stage on the first batch, stored or not.
+    stage_bytes: list[int]
     fingerprint: int = 0  # parameter/buffer CRC at observe time
+
+
+def _state_nbytes(state) -> int:
+    """Bytes of a stage state (each tuple part counted on its own)."""
+    parts = state if isinstance(state, tuple) else (state,)
+    return sum(part.data.nbytes for part in parts)
 
 
 def _tile_state(state, k: int):
@@ -332,7 +346,7 @@ def _state_stack_affine(base, bases):
     ``base`` is a clean stage state; ``bases`` is a list of
     ``(delta_state, scales)`` pairs where ``scales`` holds one coefficient
     per stacked point.  Used by the affine push: the noisy stage outputs
-    of a whole NM chunk are linear combinations of cached clean outputs
+    of a whole NM chunk are linear combinations of clean stage outputs
     and one (or two) basis responses.  The scalar leaves evaluate through
     :func:`~repro.nn.routing.stack_affine` — the single, order-pinned
     implementation of the affine factorisation.
@@ -394,8 +408,8 @@ class SweepEngine:
         self._trace: _CleanTrace | None = None
         self._should_cancel = None   # per-sweep cooperative flag (locked)
         self._should_preempt = None  # per-sweep cooperative flag (locked)
-        # Sweeps mutate engine state (the cached trace, the per-sweep base
-        # draws) and install the engine's hook registry on the calling
+        # Sweeps mutate engine state (the cached trace, the sweep flags)
+        # and install the engine's hook registry on the calling
         # thread, so one engine can only run one sweep at a time.  The
         # lock makes that invariant self-enforcing: concurrent sweep()
         # calls — e.g. shards of one request fanned across the analysis
@@ -477,34 +491,27 @@ class SweepEngine:
         trace = self._clean_trace()
         if baseline_accuracy is None:
             baseline_accuracy = trace.clean_accuracy
-        # Base draws are shared across this sweep's targets (keyed by
-        # (site, batch) and derived statelessly, so sharing changes no
-        # result — it only avoids re-drawing for overlapping site sets).
-        self._base_draws: dict = {}
-        try:
-            curves = {}
-            for target in targets:
-                self._checkpoint()
-                if self._preempt_pending():
-                    raise SweepPreempted(
-                        f"sweep preempted at a target boundary "
-                        f"({len(curves)}/{len(targets)} targets measured)",
-                        partial=curves)
-                try:
-                    curves[target.key] = self._sweep_target(
-                        trace, target, nm_values, na, seed,
-                        baseline_accuracy, strategy)
-                except _TargetPreempted as parked:
-                    partial = dict(curves)
-                    if parked.curve.points:
-                        partial[target.key] = parked.curve
-                    raise SweepPreempted(
-                        f"sweep preempted mid-target on {target} "
-                        f"({len(parked.curve.points)} points measured)",
-                        partial=partial) from None
-            return curves
-        finally:
-            self._base_draws = {}
+        curves = {}
+        for target in targets:
+            self._checkpoint()
+            if self._preempt_pending():
+                raise SweepPreempted(
+                    f"sweep preempted at a target boundary "
+                    f"({len(curves)}/{len(targets)} targets measured)",
+                    partial=curves)
+            try:
+                curves[target.key] = self._sweep_target(
+                    trace, target, nm_values, na, seed, baseline_accuracy,
+                    strategy)
+            except _TargetPreempted as parked:
+                partial = dict(curves)
+                if parked.curve.points:
+                    partial[target.key] = parked.curve
+                raise SweepPreempted(
+                    f"sweep preempted mid-target on {target} "
+                    f"({len(parked.curve.points)} points measured)",
+                    partial=partial) from None
+        return curves
 
     def invalidate(self) -> None:
         """Drop the cached clean trace.
@@ -545,8 +552,10 @@ class SweepEngine:
                 for entry in stages]
 
     def _clean_trace(self) -> _CleanTrace:
-        """One clean forward over the dataset, caching per-stage states and
-        the site → stage attribution (observe half of observe/replay).
+        """One clean forward over the dataset, caching the non-affine
+        stages' output states and the site → stage attribution (observe
+        half of observe/replay).  Affine stage outputs are left out (see
+        :meth:`_clean_state`).
 
         The trace is fingerprinted against the model's parameters and
         buffers and rebuilt automatically when they changed since the
@@ -561,17 +570,19 @@ class SweepEngine:
         site_terminal: dict[InjectionSite, bool] = {}
         self.model.eval()
         batches = []
+        stage_bytes = []
         correct = 0
         with no_grad(), use_registry(recorder.install()):
             for images, labels in self.dataset.batches(self.batch_size):
                 self._checkpoint()
                 state = Tensor(images)
                 states = []
-                for index, (_, stage, _meta) in enumerate(stages):
+                for index, (_, stage, meta) in enumerate(stages):
                     recorder.marker = index
                     state = stage(state)
-                    states.append(state)
+                    states.append(None if meta.get("affine") else state)
                     if not batches:  # terminal detection on the first batch
+                        stage_bytes.append(_state_nbytes(state))
                         for site, marker in recorder.site_markers.items():
                             if marker == index and site not in site_terminal:
                                 # A site is "terminal" when the stage output
@@ -593,21 +604,38 @@ class SweepEngine:
             site_terminal=site_terminal,
             batches=batches,
             clean_accuracy=correct / len(self.dataset),
+            stage_bytes=stage_bytes,
             fingerprint=fingerprint)
         return self._trace
 
     # ---------------------------------------------------------------- replays
-    def _resume_state(self, batch: _BatchTrace, resume: int, tile: int = 1):
-        state = (Tensor(batch.inputs) if resume == 0
-                 else batch.states[resume - 1])
-        return _tile_state(state, tile)
+    def _clean_state(self, trace: _CleanTrace, batch: _BatchTrace,
+                     index: int, stages, matcher):
+        """The clean output of stage ``index`` (``-1``: the batch inputs).
 
-    def _replay(self, batch: _BatchTrace, stages, resume: int, tile: int = 1,
-                state=None):
-        """Run stages ``resume..end`` from the cached state; return output."""
+        An affine stage's output is not stored; it is recomputed by one
+        clean application of the stage to its input.  The recompute runs
+        under the replay's noise registry, which is sound only because no
+        site the target matches fires in that stage: a dropped stage
+        always lies before the target's resume stage, or is the affine
+        stage an affine push factors and so holds no matched site.
+        """
+        if index < 0:
+            return Tensor(batch.inputs)
+        state = batch.states[index]
         if state is None:
-            state = self._resume_state(batch, resume, tile)
-        for _, stage, _meta in stages[resume:]:
+            assert not any(matcher(site) for site, stage
+                           in trace.site_stage.items() if stage == index), (
+                f"stage {trace.stage_names[index]} is recomputed but emits "
+                f"an injected site")
+            state = stages[index][1](self._clean_state(
+                trace, batch, index - 1, stages, matcher))
+        return state
+
+    @staticmethod
+    def _replay(stages, start: int, state):
+        """Run stages ``start..end`` from ``state``; return the output."""
+        for _, stage, _meta in stages[start:]:
             state = stage(state)
         return state
 
@@ -698,7 +726,8 @@ class SweepEngine:
         with no_grad(), use_registry(registry):
             for batch in trace.batches:
                 self._checkpoint()
-                output = self._replay(batch, stages, resume)
+                output = self._replay(stages, resume, self._clean_state(
+                    trace, batch, resume - 1, stages, matcher))
                 predictions = np.argmax(capsule_lengths(output).data, axis=1)
                 correct += int(np.sum(predictions == batch.labels))
         return correct / len(self.dataset)
@@ -716,17 +745,14 @@ class SweepEngine:
         (im2col inside a replayed conv stage); the shared-votes routing
         path passes 1 because its suffix is contraction-dominated, plus a
         ``floor_bytes`` covering the stacked routing-state transients its
-        cached stage outputs cannot see.  Thanks to the injector's cached
-        base draws, chunking never changes the noise a given point
-        receives.
+        stage outputs cannot see.  The per-stage bytes come from the
+        observe pass, so stages whose output the trace does not store
+        count too.  Because the injector's base draw per (site, batch) is
+        reused by every chunk, chunking never changes the noise a given
+        point receives.
         """
         budget = int(os.environ.get("REPRO_SWEEP_STACK_BYTES", 16 << 20))
-        batch = trace.batches[0]
-        states = batch.states[max(resume - 1, 0):]
-        per_slice = max(
-            (sum(part.data.nbytes for part in
-                 (state if isinstance(state, tuple) else (state,)))
-             for state in states), default=0)
+        per_slice = max(trace.stage_bytes[max(resume - 1, 0):], default=0)
         per_slice = max(per_slice * expansion, floor_bytes)
         if per_slice <= 0:
             return points
@@ -739,15 +765,16 @@ class SweepEngine:
         Points are stacked along the batch axis in cache-bounded chunks;
         the injector reuses one standard-normal draw per (site, batch)
         across every chunk (common random numbers), so the curve costs a
-        single evaluation's worth of RNG work regardless of chunking.
-        ``first_site`` still sees the tiled clean prefix, so its per-slice
-        ranges coincide.  No salt: targets sharing a site share its base
-        draw (cross-target CRN, which pairs the curves Steps 3/5 compare).
+        single evaluation's worth of RNG work regardless of chunking.  The
+        clean resume state is fetched (or recomputed) once per batch and
+        tiled per chunk.  ``first_site`` still sees the tiled clean
+        prefix, so its per-slice ranges coincide.  No salt: targets
+        sharing a site draw the same base noise there (cross-target CRN,
+        which pairs the curves Steps 3/5 compare).
         """
         k = len(specs)
         injector = StackedNoiseInjector(specs, seed=specs[0].seed,
-                                        uniform_sites={first_site},
-                                        base_cache=self._base_draws)
+                                        uniform_sites={first_site})
         registry = HookRegistry()
         registry.add_transform(matcher, injector)
         stages = self._stages()
@@ -758,11 +785,13 @@ class SweepEngine:
             for batch_index, batch in enumerate(trace.batches):
                 self._checkpoint()
                 injector.begin_batch(batch_index)
+                clean = self._clean_state(trace, batch, resume - 1, stages,
+                                          matcher)
                 for start in range(0, k, chunk):
                     stacked = specs[start:start + chunk]
                     injector.set_specs(stacked)
-                    output = self._replay(batch, stages, resume,
-                                          tile=len(stacked))
+                    output = self._replay(stages, resume,
+                                          _tile_state(clean, len(stacked)))
                     correct[start:start + chunk] += self._count_correct(
                         output, batch.labels, len(stacked))
         return (correct / len(self.dataset)).tolist()
@@ -811,7 +840,7 @@ class SweepEngine:
                           spec) -> list[float]:
         """A whole NM curve through one shared-votes routing pass per batch.
 
-        The cached clean input of the routing stage is read *un-tiled*:
+        The clean input of the routing stage is read *un-tiled*:
         its vote tensor becomes the :class:`~repro.nn.SharedVotes` base,
         noise on the vote tensor itself (when the target matches the
         votes site) becomes common-random-number affine deltas, and the
@@ -823,33 +852,34 @@ class SweepEngine:
         """
         k = len(specs)
         injector = StackedNoiseInjector(specs, seed=specs[0].seed,
-                                        uniform_sites={first_site},
-                                        base_cache=self._base_draws)
+                                        uniform_sites={first_site})
         registry = HookRegistry()
         registry.add_transform(matcher, injector)
         stages = self._stages()
         layer = spec.layer
         consume = (matcher(spec.votes_site)
                    and spec.votes_site in trace.site_stage)
-        first_state = self._resume_state(trace.batches[0], resume)
-        first_raw = (first_state if spec.votes_index is None
-                     else first_state[spec.votes_index])
-        n, c_in, c_out, d, p = layer.votes_to_u_hat(first_raw.data).shape
-        # Per-point routing-state transients: couplings + logits
-        # (N, Cin, Cout, 1, P) and weighted sums + capsules (N, Cout, D, P).
-        routing_bytes = 8 * n * p * c_out * (c_in + d)
-        chunk = self._stack_chunk(trace, resume + 1, k, expansion=1,
-                                  floor_bytes=routing_bytes)
+        chunk = None
         self.model.eval()
         correct = np.zeros(k, dtype=np.int64)
         with no_grad(), use_registry(registry):
             for batch_index, batch in enumerate(trace.batches):
                 self._checkpoint()
                 injector.begin_batch(batch_index)
-                state = self._resume_state(batch, resume)
+                state = self._clean_state(trace, batch, resume - 1, stages,
+                                          matcher)
                 raw = (state if spec.votes_index is None
                        else state[spec.votes_index])
                 base = layer.votes_to_u_hat(raw.data)
+                if chunk is None:  # sized on the first (largest) batch
+                    n, c_in, c_out, d, p = base.shape
+                    # Per-point routing-state transients: couplings +
+                    # logits (N, Cin, Cout, 1, P) and weighted sums +
+                    # capsules (N, Cout, D, P).
+                    routing_bytes = 8 * n * p * c_out * (c_in + d)
+                    chunk = self._stack_chunk(trace, resume + 1, k,
+                                              expansion=1,
+                                              floor_bytes=routing_bytes)
                 for start in range(0, k, chunk):
                     stacked = specs[start:start + chunk]
                     injector.set_specs(stacked)
@@ -864,8 +894,8 @@ class SweepEngine:
                         iterations=layer.routing_iterations,
                         layer_name=layer.name, stack_when=matcher)
                     output = self._replay(
-                        batch, stages, resume + 1,
-                        state=spec.finish(state, routed, len(stacked)))
+                        stages, resume + 1,
+                        spec.finish(state, routed, len(stacked)))
                     correct[start:start + chunk] += self._count_correct(
                         output, batch.labels, len(stacked))
         return (correct / len(self.dataset)).tolist()
@@ -876,7 +906,7 @@ class SweepEngine:
         """Whether the NM curve can be factored through the next stage.
 
         Requires the first injected site to be the terminal output of its
-        stage (injection then equals perturbing the cached stage output),
+        stage (injection then equals perturbing the clean stage output),
         the *next* stage to be affine, and no other injection to land
         before that next stage completes.
         """
@@ -895,7 +925,7 @@ class SweepEngine:
                     first_site: InjectionSite) -> list[float]:
         """NM curve through the affine-factored next stage.
 
-        The injected tensor is the cached output of stage ``resume``, so
+        The injected tensor is the clean output of stage ``resume``, so
         the next (affine) stage's noisy output for point ``j`` is
         ``clean + nm_j*R * (stage(z) - stage(0)) + na_j*R * (stage(1) -
         stage(0))`` — two basis applications replace one application per
@@ -911,8 +941,7 @@ class SweepEngine:
         once for the whole curve.
         """
         k = len(specs)
-        injector = StackedNoiseInjector(specs, seed=specs[0].seed,
-                                        base_cache=self._base_draws)
+        injector = StackedNoiseInjector(specs, seed=specs[0].seed)
         registry = HookRegistry()
         registry.add_transform(matcher, injector)
         stages = self._stages()
@@ -930,7 +959,8 @@ class SweepEngine:
             for batch_index, batch in enumerate(trace.batches):
                 self._checkpoint()
                 injector.begin_batch(batch_index)
-                emitted = batch.states[resume]
+                emitted = self._clean_state(trace, batch, resume, stages,
+                                            matcher)
                 value_range = np.float32(
                     emitted.data.max() - emitted.data.min()
                     if emitted.data.size else 0.0)
@@ -943,7 +973,8 @@ class SweepEngine:
                     ones = np.ones_like(emitted.data)
                     bases.append((_state_delta(stage_fn(Tensor(ones)),
                                                zero_response), None))
-                base_next = batch.states[resume + 1]
+                base_next = self._clean_state(trace, batch, resume + 1,
+                                              stages, matcher)
                 for start in range(0, k, chunk):
                     stop = min(start + chunk, k)
                     scaled = [(bases[0][0], nms[start:stop] * value_range)]
@@ -962,13 +993,12 @@ class SweepEngine:
                             iterations=layer.routing_iterations,
                             layer_name=layer.name, stack_when=matcher)
                         output = self._replay(
-                            batch, stages, resume + 3,
-                            state=route_spec.finish(base_next, routed,
-                                                    stop - start))
+                            stages, resume + 3,
+                            route_spec.finish(base_next, routed,
+                                              stop - start))
                     else:
                         state = _state_stack_affine(base_next, scaled)
-                        output = self._replay(batch, stages, resume + 2,
-                                              state=state)
+                        output = self._replay(stages, resume + 2, state)
                     correct[start:stop] += self._count_correct(
                         output, batch.labels, stop - start)
         return (correct / len(self.dataset)).tolist()

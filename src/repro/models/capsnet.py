@@ -65,8 +65,10 @@ class CapsNet(Module):
 
         Each convolution's GEMM is its own stage, with the layer's emits at
         the start of the *next* stage, so a sweep that perturbs e.g. the
-        Conv1 MAC outputs replays from the cached pre-activation instead of
-        re-running the convolution.
+        Conv1 MAC outputs replays from the clean pre-activation instead of
+        running the convolution on every stacked NM point.  The engine's
+        clean trace does not store affine stage outputs, so that
+        pre-activation costs one un-stacked convolution per batch.
         """
         affine = {"affine": True}
         return [

@@ -148,7 +148,9 @@ class Module:
         outputs and stack sweep points along the batch dimension.  ``meta``
         may declare ``{"affine": True}`` for stages that are affine in
         their input (convolution/vote GEMMs), enabling the engine to
-        factor a whole NM curve through one stage application, and
+        factor a whole NM curve through one stage application (the
+        engine's clean trace also keeps no affine stage output and
+        recomputes it from the stage input when a replay needs it), and
         ``{"routing": RoutingSpec}`` on a dynamic-routing stage
         (:class:`~repro.nn.RoutingSpec`), enabling the engine's
         shared-votes fast path — the whole NM curve rides one batched

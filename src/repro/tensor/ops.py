@@ -76,12 +76,15 @@ def _im2col_nhwc(x: np.ndarray, kernel: tuple[int, int], stride: int,
     kh, kw = kernel
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     if padding:
-        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
-                          dtype=nhwc.dtype)
-        padded[:, padding:padding + h, padding:padding + w] = nhwc
-        nhwc = padded
+        # The NCHW -> NHWC transpose is written straight into the zeroed
+        # padded buffer: one copy instead of two.
+        nhwc = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
+                        dtype=x.dtype)
+        nhwc[:, padding:padding + h, padding:padding + w] = x.transpose(
+            0, 2, 3, 1)
+    else:
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     windows = np.lib.stride_tricks.sliding_window_view(
         nhwc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     # (N, OH, OW, C, KH, KW) -> (N*OH*OW, KH*KW*C)

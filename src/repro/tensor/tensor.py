@@ -404,7 +404,7 @@ class Tensor:
             # (bit-identical) without the intermediate Tensor graph —
             # softmax runs once per routing iteration of every replay.
             data = self.data
-            exps = np.exp(data - data.max(axis=axis, keepdims=True))
+            exps = np.exp(data - _max_keepdims(data, axis))
             return Tensor(exps / exps.sum(axis=axis, keepdims=True),
                           op="softmax")
         shifted = self - self.max(axis=axis, keepdims=True).detach()
@@ -414,6 +414,28 @@ class Tensor:
     def norm(self, axis: int = -1, keepdims: bool = False, eps: float = 1e-8) -> "Tensor":
         """Euclidean norm along ``axis`` with an epsilon for differentiability."""
         return ((self * self).sum(axis=axis, keepdims=keepdims) + eps).sqrt()
+
+
+#: Longest axis :func:`_max_keepdims` chains over; longer axes reduce.
+_MAX_CHAIN_AXIS = 64
+
+
+def _max_keepdims(data: np.ndarray, axis: int) -> np.ndarray:
+    """``data.max(axis, keepdims=True)``, as a chain of slice-wise
+    ``np.maximum`` calls when the axis is short.
+
+    Bit-identical (a max does not depend on the order it is taken in,
+    NaN propagates either way) and several times faster on the routing
+    softmax, whose short softmax axis makes the per-row reduce
+    call-bound.
+    """
+    rows = np.moveaxis(data, axis, 0)
+    if not 0 < len(rows) <= _MAX_CHAIN_AXIS:
+        return data.max(axis=axis, keepdims=True)
+    out = np.array(rows[0])
+    for row in rows[1:]:
+        np.maximum(out, row, out=out)
+    return np.expand_dims(out, axis)
 
 
 def as_tensor(value) -> Tensor:

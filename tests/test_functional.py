@@ -66,6 +66,36 @@ class TestSoftmaxAndFriends:
         assert np.isfinite(s).all()
         np.testing.assert_allclose(s.sum(), 1.0, rtol=1e-5)
 
+    @pytest.mark.parametrize("shape,axis", [
+        ((216, 144, 10, 1, 1), 2), ((6, 9), -1), ((5, 4, 3), 0),
+        ((3, 80), 1), ((7, 1), 1), ((9,), 0),
+    ])
+    def test_inference_softmax_max_is_bitwise_reduce(self, shape, axis):
+        """The fast path's slice-wise max equals ``data.max`` bit for bit,
+        rows with -inf, +-0 and NaN included, and so does the softmax."""
+        from repro.tensor.tensor import _max_keepdims
+        rng = np.random.default_rng(len(shape) * 10 + axis)
+        length = shape[axis]
+        rest = shape[:axis % len(shape)] + shape[axis % len(shape) + 1:]
+        rows = rng.normal(size=(length, int(np.prod(rest)))).astype(
+            np.float32)  # one softmax row per column
+        for value, share in ((0.0, 5), (-0.0, 5), (-np.inf, 30),
+                             (np.nan, 60)):
+            rows.flat[rng.integers(0, rows.size, max(1, rows.size // share))] \
+                = value
+        rows[:, 0] = 0.0       # a row of both zero signs
+        rows[::2, 0] = -0.0
+        rows[:, -1] = -np.inf  # an all -inf row
+        data = np.ascontiguousarray(
+            np.moveaxis(rows.reshape((length,) + rest), 0, axis))
+        expected = data.max(axis=axis, keepdims=True)
+        assert _max_keepdims(data, axis).tobytes() == expected.tobytes()
+        with np.errstate(invalid="ignore"):
+            exps = np.exp(data - expected)
+            reference = exps / exps.sum(axis=axis, keepdims=True)
+            fast = Tensor(data).softmax(axis=axis).data
+        assert fast.tobytes() == reference.tobytes()
+
     def test_log_softmax_matches_log_of_softmax(self, rng):
         x = Tensor(rng.normal(size=(3, 5)).astype(np.float32))
         np.testing.assert_allclose(log_softmax(x, axis=1).data,

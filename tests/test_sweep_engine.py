@@ -7,7 +7,9 @@ The engine's contract (ISSUE 1 / repro.core.sweep):
 * ``vectorized`` — NM stacking + common-random-number draws — reproduces
   them statistically (same Eq. 3-4 noise model, different draws);
 * results are independent of chunking and worker partitioning;
-* ``evaluate_accuracy`` under an empty registry is unchanged.
+* ``evaluate_accuracy`` under an empty registry is unchanged;
+* the clean trace stores no affine stage output, every recomputed one is
+  bit-equal to the clean forward's, and noise draws live one batch.
 """
 
 from __future__ import annotations
@@ -17,8 +19,12 @@ import pytest
 
 from repro.core import (SweepEngine, SweepTarget, group_wise_analysis,
                         layer_wise_analysis)
+from repro.core.noise import StackedNoiseInjector
+from repro.core.sweep import _state_nbytes
+from repro.nn import hooks
 from repro.nn.hooks import (GROUP_ACTIVATIONS, GROUP_MAC, GROUP_SOFTMAX,
                             HookRegistry, INJECTABLE_GROUPS, use_registry)
+from repro.tensor import Tensor, no_grad
 from repro.train import evaluate_accuracy
 
 NM_VALUES = (0.5, 0.05, 0.005, 0.0)
@@ -250,6 +256,105 @@ class TestStaleCacheProtection:
         assert engine._trace is not None
         engine.invalidate()
         assert engine._trace is None
+
+
+def _clean_forward(engine, trace):
+    """Every stage's clean output for every traced batch, recomputed from
+    scratch outside any registry."""
+    outputs = []
+    with no_grad():
+        for batch in trace.batches:
+            state = Tensor(batch.inputs)
+            per_stage = []
+            for _, stage, _meta in engine._stages():
+                state = stage(state)
+                per_stage.append(state)
+            outputs.append(per_stage)
+    return outputs
+
+
+def _bitwise_equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_bitwise_equal, a, b))
+    return (a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+            and a.data.tobytes() == b.data.tobytes())
+
+
+class TestTraceMemory:
+    """The clean trace keeps only non-affine stage outputs; the rest are
+    recomputed bit-exactly, and each injector holds one batch of draws."""
+
+    @pytest.mark.parametrize("setup,bound", [("capsnet_setup", 0.30),
+                                             ("deepcaps_setup", 0.50)])
+    def test_trace_stores_no_affine_output(self, setup, bound, request):
+        model, test_set = request.getfixturevalue(setup)
+        engine = SweepEngine(model, test_set, batch_size=40)
+        trace = engine._clean_trace()
+        assert len(trace.batches) >= 2
+        stages = engine._stages()
+        full = stored = 0
+        for batch, outputs in zip(trace.batches,
+                                  _clean_forward(engine, trace)):
+            for (name, _, meta), kept, output in zip(stages, batch.states,
+                                                     outputs):
+                full += _state_nbytes(output)
+                if meta.get("affine"):
+                    assert kept is None, name
+                else:
+                    assert _bitwise_equal(kept, output), name
+                    stored += _state_nbytes(kept)
+        assert stored <= bound * full
+
+    @pytest.mark.parametrize("setup", ["capsnet_setup", "deepcaps_setup"])
+    def test_recomputed_states_match_clean_forward(self, setup, request,
+                                                   monkeypatch):
+        model, test_set = request.getfixturevalue(setup)
+        engine = SweepEngine(model, test_set, batch_size=40)
+        trace = engine._clean_trace()
+        reference = dict(zip(map(id, trace.batches),
+                             _clean_forward(engine, trace)))
+        recomputed = set()
+        original = SweepEngine._clean_state
+
+        def checked(self, trace, batch, index, stages, matcher):
+            state = original(self, trace, batch, index, stages, matcher)
+            if index >= 0 and batch.states[index] is None:
+                assert hooks.active_registries()  # inside a noisy replay
+                assert _bitwise_equal(state, reference[id(batch)][index])
+                recomputed.add(trace.stage_names[index])
+            return state
+
+        monkeypatch.setattr(SweepEngine, "_clean_state", checked)
+        for strategy in ("vectorized", "cached"):
+            engine.strategy = strategy
+            engine.sweep(_targets_for(model), NM_VALUES, seed=3)
+        # Resume recomputes (Conv1.conv for Conv1 MAC outputs, the vote
+        # stage for routing targets) and the affine push's next stage.
+        assert len(recomputed) >= 3, recomputed
+
+    def test_draw_cache_holds_one_batch(self, capsnet_setup, monkeypatch):
+        model, test_set = capsnet_setup
+        drawn = {}  # id -> (draw, batch); holding the draw keeps ids unique
+        original = StackedNoiseInjector._base_draw
+
+        def tracked(self, site, shape):
+            z = original(self, site, shape)
+            drawn.setdefault(id(z), (z, self._batch_index))
+            assert {drawn[id(cached)][1] for cached in self._base.values()} \
+                == {self._batch_index}
+            return z
+
+        monkeypatch.setattr(StackedNoiseInjector, "_base_draw", tracked)
+        mac = (GROUP_MAC, None)
+        mac_classcaps = (GROUP_MAC, "ClassCaps")
+        together = _accuracies(_sweep(model, test_set, "vectorized",
+                                      [mac, mac_classcaps]))
+        assert len({batch for _, batch in drawn.values()}) >= 2
+        for target in (mac, mac_classcaps):
+            alone = _accuracies(_sweep(model, test_set, "vectorized",
+                                       [target]))
+            assert alone == {SweepTarget(*target).key:
+                             together[SweepTarget(*target).key]}
 
 
 def test_evaluate_accuracy_empty_registry_regression(capsnet_setup):

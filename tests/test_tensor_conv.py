@@ -136,3 +136,53 @@ class TestCol2im:
         with pytest.raises(ValueError, match="col2im"):
             col2im(np.zeros((1, 1, 2, 2, 3, 3), np.float32), (4, 4), 1, 0,
                    method="magic")
+
+
+def _unfused_conv(x, w, b, stride, padding):
+    """conv2d's inference numerics with separate copies: the NHWC
+    transpose, then the pad, then the bias added to the GEMM output in
+    place, then the NHWC -> NCHW copy."""
+    n, c, h, w_in = x.shape
+    f, _, kh, kw = w.shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w_in, kw, stride, padding)
+    if c >= 8:
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+        if padding:
+            padded = np.zeros((n, h + 2 * padding, w_in + 2 * padding, c),
+                              dtype=nhwc.dtype)
+            padded[:, padding:padding + h, padding:padding + w_in] = nhwc
+            nhwc = padded
+        windows = np.lib.stride_tricks.sliding_window_view(
+            nhwc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = np.ascontiguousarray(
+            windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+                n * oh * ow, kh * kw * c), dtype=np.float32)
+        w_mat = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(f, -1)
+    else:
+        cols, _ = im2col(x, (kh, kw), stride, padding)
+        w_mat = w.reshape(f, -1)
+    out = cols @ w_mat.T
+    if b is not None:
+        out += b
+    return np.ascontiguousarray(
+        out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("channels", [3, 8, 16])
+@pytest.mark.parametrize("stride,padding,kernel", [
+    (1, 0, 3), (2, 0, 3), (1, 1, 3), (2, 1, 3), (1, 2, 5), (2, 0, 1),
+])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_conv2d_bitwise_matches_unfused_copies(channels, stride, padding,
+                                               kernel, with_bias):
+    rng = np.random.default_rng(channels * 100 + stride * 10 + padding)
+    x = rng.normal(size=(3, channels, 9, 9)).astype(np.float32)
+    w = rng.normal(size=(12, channels, kernel, kernel)).astype(np.float32)
+    b = rng.normal(size=12).astype(np.float32) if with_bias else None
+    out = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                 stride=stride, padding=padding).data
+    expected = _unfused_conv(x, w, b, stride, padding)
+    assert out.flags.c_contiguous
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
