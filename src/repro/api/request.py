@@ -213,10 +213,10 @@ class AnalysisRequest:
 
         Differs from :meth:`to_payload` in two ways: the execution
         options collapse to :meth:`~repro.core.sweep.ExecutionOptions.
-        cache_key`, so result-invariant knobs (``workers``; ``naive`` vs
-        ``cached``; ``shared_votes`` outside the stacked tier) hash
-        identically — and session *names* are erased, because they are
-        handles rather than content: the store key's model and dataset
+        cache_key`, so result-invariant knobs (retries, deadlines and
+        tenant; ``naive`` vs ``cached``; ``shared_votes`` outside the
+        stacked tier) hash identically — and session *names* are
+        erased, because they are handles rather than content: the store key's model and dataset
         CRCs already identify the registered pair, so sessions holding
         identical weights and data share cache entries regardless of the
         name they registered under (this is what lets

@@ -354,15 +354,6 @@ class ShardQueue:
             raise ValueError(f"tenant weight must be a positive number, "
                              f"got {weight!r} for tenant {name!r}")
 
-    def set_weight(self, name: str, weight: float) -> None:
-        """Configure one tenant's round-robin weight (default 1.0)."""
-        self._check_weight(name, weight)
-        with self._lock:
-            self._weights[name] = float(weight)
-            state = self._tenants.get(name)
-            if state is not None:
-                state.weight = float(weight)
-
     def close(self) -> None:
         """Stop the starvation monitor thread (idempotent)."""
         self._stop.set()

@@ -78,7 +78,7 @@ import logging
 import threading
 import time
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +91,7 @@ from ..data import Dataset
 from ..nn import hooks
 from ..nn.hooks import HookRegistry, use_registry
 from ..train import evaluate_accuracy
-from .backends import ExecutionBackend, make_backend
+from .backends import ExecutionBackend, ThreadBackend, make_backend
 from .events import AnalysisCancelled, CancelToken, EventLog, PreemptToken
 from .request import AnalysisRequest, AnalysisResult, ModelRef, PartialResult
 from .resilience import (BackendError, FaultPlan, RetryPolicy, ServiceHealth,
@@ -503,7 +503,9 @@ class ResilienceService:
         self.stats = ServiceStats()
         self.retry_policy = retry_policy or RetryPolicy()
         self.health = ServiceHealth(degrade_threshold)
-        self._degraded_pool: ThreadPoolExecutor | None = None
+        # The in-process fallback once the backend collapses (see
+        # ``degrade_threshold``); its pool starts on first use.
+        self._degraded_backend = ThreadBackend(self.backend.parallel)
         self._sessions: dict[str, tuple[object, Dataset]] = {}
         self._resolved: dict[str, ResolvedModel] = {}
         self._engines: dict[tuple, SweepEngine] = {}
@@ -526,10 +528,7 @@ class ResilienceService:
         worker pools (if any)."""
         self.queue.close()
         self.backend.close()
-        with self._state_lock:
-            pool, self._degraded_pool = self._degraded_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._degraded_backend.close()
 
     # ------------------------------------------------------------ resolution
     def register(self, name: str, model, dataset: Dataset) -> ModelRef:
@@ -1010,7 +1009,10 @@ class ResilienceService:
             on_start = None if started[0] else mark_started
             if self.health.degraded:
                 self._announce_degraded(group, run)
-                return self._run_degraded(shard, runner, on_start=on_start)
+                # Bypass the collapsed backend; results are byte-identical
+                # because every noise stream derives statelessly.
+                return self._degraded_backend.submit(shard, runner,
+                                                     on_start=on_start)
             return self._launch_preemptible(shard, group, index,
                                             cancel=token, on_start=on_start)
 
@@ -1209,28 +1211,6 @@ class ResilienceService:
         snapshot = self.health.snapshot()
         for job in group:
             job.events.emit("degraded", snapshot)
-
-    def _run_degraded(self, shard: AnalysisRequest, runner,
-                      on_start=None) -> Future:
-        """Measure one shard on the in-process fallback pool.
-
-        Bypasses the (collapsed) backend entirely; results are
-        byte-identical to any backend's because every noise stream
-        derives statelessly per (seed, site, batch).
-        """
-        with self._state_lock:
-            if self._degraded_pool is None:
-                self._degraded_pool = ThreadPoolExecutor(
-                    max_workers=max(1, int(self.backend.parallel)),
-                    thread_name_prefix="repro-degraded")
-            pool = self._degraded_pool
-
-        def wrapped() -> AnalysisResult:
-            if on_start is not None:
-                on_start()
-            return runner(shard)
-
-        return pool.submit(wrapped)
 
     def _store_put(self, key: str, result: AnalysisResult,
                    options) -> None:

@@ -81,8 +81,8 @@ class ArtifactSpec:
     """One artifact registry entry.
 
     ``sweeps`` declares whether the artifact runs resilience sweeps (and
-    therefore honours ``--strategy``/``--workers``/``--no-shared-votes``/
-    ``--backend``/``--max-parallel``/``--remote`` via its
+    therefore honours ``--strategy``/``--no-shared-votes``/``--backend``/
+    ``--max-parallel``/``--remote`` via its
     :class:`ExperimentScale` and service); naming a non-sweep artifact
     together with those flags errors instead of silently dropping them.
     ``remote_ok=False`` marks sweep artifacts that must touch the model
@@ -243,7 +243,6 @@ def _build_context(args) -> RunContext:
     if args.client_id is not None:
         resilience["client_id"] = args.client_id
     execution = ExecutionOptions(strategy=args.strategy,
-                                 workers=args.workers,
                                  shared_votes=not args.no_shared_votes,
                                  **resilience)
     scale = ExperimentScale(execution=execution)
@@ -259,8 +258,6 @@ def _sweep_flags_given(args) -> list[str]:
     flags = []
     if args.strategy != "auto":
         flags.append("--strategy")
-    if args.workers:
-        flags.append("--workers")
     if args.no_shared_votes:
         flags.append("--no-shared-votes")
     if args.max_retries is not None:
@@ -395,8 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", choices=list(STRATEGIES), default="auto",
                      help="resilience-sweep execution strategy "
                           "(see repro.core.sweep)")
-    run.add_argument("--workers", type=int, default=0,
-                     help="fan sweep targets across this many processes")
     run.add_argument("--no-shared-votes", action="store_true",
                      help="disable the shared-votes routing fast path for "
                           "routing-resumed sweep targets")

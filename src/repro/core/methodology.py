@@ -37,11 +37,10 @@ __all__ = ["ReDCaNeConfig", "ApproximateCapsNetDesign", "ReDCaNe"]
 class ReDCaNeConfig:
     """Tuning knobs of the methodology run.
 
-    Sweep execution (batch size, strategy, workers, shared-votes fast
-    path) lives in one shared :class:`~repro.core.sweep.ExecutionOptions`
-    — the same dataclass the experiments' ``ExperimentScale`` and the
-    CLI use; the flat ``batch_size``/``strategy``/``workers``/
-    ``shared_votes`` properties read through to it.
+    Sweep execution (batch size, strategy, shared-votes fast path)
+    lives in one shared :class:`~repro.core.sweep.ExecutionOptions` —
+    the same dataclass the experiments' ``ExperimentScale`` and the CLI
+    use.
     """
 
     nm_values: tuple[float, ...] = PAPER_NM_SWEEP
@@ -53,22 +52,6 @@ class ReDCaNeConfig:
     safety_factor: float = 1.0   # Step 6 margin
     execution: ExecutionOptions = field(default_factory=ExecutionOptions)
     verbose: bool = False
-
-    @property
-    def batch_size(self) -> int:
-        return self.execution.batch_size
-
-    @property
-    def strategy(self) -> str:
-        return self.execution.strategy
-
-    @property
-    def workers(self) -> int:
-        return self.execution.workers
-
-    @property
-    def shared_votes(self) -> bool:
-        return self.execution.shared_votes
 
 
 @dataclass
@@ -150,7 +133,7 @@ class ReDCaNe:
         extraction = extract_groups(self.model, sample)
 
         baseline = evaluate_accuracy(self.model, self.dataset,
-                                     batch_size=config.batch_size)
+                                     batch_size=config.execution.batch_size)
         self._log(f"baseline accuracy {baseline:.4f}")
 
         # Steps 2+4 submit through the analysis service: one session ref,
@@ -165,7 +148,7 @@ class ReDCaNe:
             self.model, self.dataset)
         try:
             self._log(f"step 2: group-wise resilience analysis "
-                      f"({config.strategy})")
+                      f"({config.execution.strategy})")
             groups = [g for g, sites in extraction.groups.items() if sites]
             group_curves = service.run(AnalysisRequest(
                 model=ref, targets=tuple((group, None) for group in groups),
@@ -241,8 +224,9 @@ class ReDCaNe:
             matcher = HookRegistry.match(group=group, layer=layer)
             registry.add_transform(matcher, GaussianNoiseInjector(spec))
         with use_registry(registry):
-            return evaluate_accuracy(self.model, self.dataset,
-                                     batch_size=self.config.batch_size)
+            return evaluate_accuracy(
+                self.model, self.dataset,
+                batch_size=self.config.execution.batch_size)
 
     # --------------------------------------------------------------- energy
     def _estimate_energy_saving(self, selection: SelectionReport

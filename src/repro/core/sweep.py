@@ -39,12 +39,13 @@ finishes that thought at the execution layer with an observe/replay model:
    reads.  Models advertise the entry points via ``{"routing":
    RoutingSpec}`` stage metadata; the affine push below hands off to the
    same path when its factored stage feeds a routing stage directly.
-4. **Worker pool** — an opt-in ``workers`` knob fans independent targets
-   across processes with :mod:`concurrent.futures` (each worker rebuilds
-   its own prefix cache; per-target RNG streams keep results identical to
-   the sequential order).
 
-Strategy knobs (``ReDCaNeConfig.strategy`` / analysis ``strategy=``):
+The engine runs its targets sequentially.  Independent targets run in
+parallel one level up: the analysis service shards a request per target
+across its ``threads``/``procpool``/``remote-pool`` backends and merges
+the shards byte-identically (per-target noise streams are stateless).
+
+Strategy knobs (``ExecutionOptions.strategy`` / analysis ``strategy=``):
 
 ``naive``
     The original per-point loop — one full evaluation per (target, NM).
@@ -57,8 +58,10 @@ Strategy knobs (``ReDCaNeConfig.strategy`` / analysis ``strategy=``):
     Prefix-replay plus NM stacking and the vectorised injector:
     statistically identical (same noise model, different draws), fastest.
 ``auto``
-    ``vectorized``, falling back to ``naive`` when ambient hook
-    registries are active (their transforms would invalidate the cache).
+    The same as ``vectorized``.
+
+Every strategy but ``naive`` falls back to ``naive`` when ambient hook
+registries are active (their transforms would invalidate the cache).
 
 Stale-cache protection: the cached clean trace is fingerprinted against
 the model's parameters and buffers, so mutating the model between sweeps
@@ -74,7 +77,6 @@ from __future__ import annotations
 import os
 import threading
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +152,10 @@ class ExecutionOptions:
     :class:`~repro.experiments.common.ExperimentScale`, the methodology
     via :class:`~repro.core.methodology.ReDCaNeConfig`, the CLI flags and
     :class:`~repro.api.AnalysisRequest`) carries one instance of this
-    dataclass instead of re-declaring the four knobs.
+    dataclass instead of re-declaring the knobs.
 
     ``batch_size`` and ``strategy`` affect the measured accuracies (they
-    change the noise draws); ``workers`` never does (per-target RNG
-    streams are stateless) and ``shared_votes`` only reorders float
+    change the noise draws); ``shared_votes`` only reorders float
     accumulation on routing-resumed targets.  :meth:`cache_key` encodes
     exactly the result-affecting subset, so the result store hits across
     equivalent configurations.
@@ -162,7 +163,7 @@ class ExecutionOptions:
     ``max_retries`` and ``shard_timeout`` are the fault-tolerance knobs
     (how many times a failed shard requeues; the per-shard wall-clock
     deadline enforced by the worker-supervision watchdog on the
-    ``procpool``/``remote-pool`` backends).  Like ``workers`` they are
+    ``procpool``/``remote-pool`` backends).  They are
     result-invariant — a retried or timed-out-and-replayed shard is
     byte-identical because every noise stream derives statelessly — so
     they serialise on the wire but stay out of :meth:`cache_key`.
@@ -177,7 +178,6 @@ class ExecutionOptions:
 
     batch_size: int = 64
     strategy: str = "auto"
-    workers: int = 0
     shared_votes: bool = True
     max_retries: int = 2
     shard_timeout: float | None = None
@@ -219,9 +219,9 @@ class ExecutionOptions:
     def cache_key(self) -> dict:
         """The result-affecting subset, canonicalised for request hashing.
 
-        ``workers``, ``max_retries``, ``shard_timeout`` and ``client_id``
-        are excluded (partitioning, requeueing, deadlines and tenant
-        identity never change results); strategies collapse to their
+        ``max_retries``, ``shard_timeout`` and ``client_id`` are
+        excluded (requeueing, deadlines and tenant identity never change
+        results); strategies collapse to their
         :attr:`noise_tier`; ``shared_votes`` is normalised away under the
         ``exact`` tier where it cannot apply.
         """
@@ -232,19 +232,23 @@ class ExecutionOptions:
 
     def to_payload(self) -> dict:
         return {"batch_size": self.batch_size, "strategy": self.strategy,
-                "workers": self.workers, "shared_votes": self.shared_votes,
+                "shared_votes": self.shared_votes,
                 "max_retries": self.max_retries,
                 "shard_timeout": self.shard_timeout,
                 "client_id": self.client_id}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExecutionOptions":
+        # Payloads stored before the ``workers`` knob was removed still
+        # carry it; it never affected results.
+        payload = dict(payload)
+        payload.pop("workers", None)
         return cls(**payload)
 
     def make_engine(self, model, dataset) -> "SweepEngine":
         """A :class:`SweepEngine` configured with these knobs."""
         return SweepEngine(model, dataset, batch_size=self.batch_size,
-                           strategy=self.strategy, workers=self.workers,
+                           strategy=self.strategy,
                            shared_votes=self.shared_votes)
 
 
@@ -361,16 +365,6 @@ def _state_stack_affine(base, bases):
         base.data, [(scales, delta) for delta, scales in bases], points))
 
 
-def _sweep_chunk(model, dataset, batch_size, strategy, shared_votes, targets,
-                 nm_values, na, seed, baseline_accuracy):
-    """Worker-process entry point: sweep a subset of targets sequentially."""
-    engine = SweepEngine(model, dataset, batch_size=batch_size,
-                         strategy=strategy, workers=0,
-                         shared_votes=shared_votes)
-    return engine.sweep(targets, nm_values, na=na, seed=seed,
-                        baseline_accuracy=baseline_accuracy)
-
-
 class SweepEngine:
     """Plan and execute a batch of resilience-curve measurements.
 
@@ -385,8 +379,6 @@ class SweepEngine:
         Test dataset whose accuracy is monitored.
     strategy:
         One of :data:`STRATEGIES` (see module docstring).
-    workers:
-        When > 1, fan independent targets across that many processes.
     shared_votes:
         Enable the shared-votes routing fast path for routing-resumed
         targets under the ``vectorized``/``auto`` strategies (default
@@ -394,8 +386,7 @@ class SweepEngine:
     """
 
     def __init__(self, model, dataset: Dataset, *, batch_size: int = 64,
-                 strategy: str = "auto", workers: int = 0,
-                 shared_votes: bool = True):
+                 strategy: str = "auto", shared_votes: bool = True):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; "
                              f"valid: {list(STRATEGIES)}")
@@ -403,7 +394,6 @@ class SweepEngine:
         self.dataset = dataset
         self.batch_size = batch_size
         self.strategy = strategy
-        self.workers = int(workers)
         self.shared_votes = bool(shared_votes)
         self._trace: _CleanTrace | None = None
         self._should_cancel = None   # per-sweep cooperative flag (locked)
@@ -479,15 +469,6 @@ class SweepEngine:
         if strategy == "naive":
             return self._sweep_naive(targets, nm_values, na, seed,
                                      baseline_accuracy)
-        if self.workers > 1 and len(targets) > 1:
-            # Worker processes cannot observe the parent's flags; check
-            # once before the fan-out (documented limitation).
-            self._checkpoint()
-            if self._preempt_pending():
-                raise SweepPreempted(
-                    "sweep preempted before the worker fan-out")
-            return self._sweep_parallel(targets, nm_values, na, seed,
-                                        baseline_accuracy, strategy)
         trace = self._clean_trace()
         if baseline_accuracy is None:
             baseline_accuracy = trace.clean_accuracy
@@ -1033,30 +1014,3 @@ class SweepEngine:
                     nm, na, accuracy, accuracy - baseline_accuracy))
             curves[target.key] = curve
         return curves
-
-    # ------------------------------------------------------------- fan-out
-    def _sweep_parallel(self, targets, nm_values, na, seed,
-                        baseline_accuracy, strategy):
-        """Fan independent targets across a process pool.
-
-        Stateless per-(site, batch) draws make the result identical to the
-        sequential execution regardless of how targets are partitioned.
-        """
-        if baseline_accuracy is None:
-            # A plain evaluation, not a clean trace: the parent only needs
-            # the number, the workers build their own activation caches.
-            baseline_accuracy = evaluate_accuracy(
-                self.model, self.dataset, batch_size=self.batch_size)
-        workers = min(self.workers, len(targets))
-        chunks = [targets[index::workers] for index in range(workers)]
-        merged = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_chunk, self.model, self.dataset,
-                            self.batch_size, strategy, self.shared_votes,
-                            chunk, tuple(nm_values), na, seed,
-                            baseline_accuracy)
-                for chunk in chunks]
-            for future in futures:
-                merged.update(future.result())
-        return {target.key: merged[target.key] for target in targets}

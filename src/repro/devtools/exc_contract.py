@@ -91,7 +91,7 @@ FATAL_EXCEPTIONS = frozenset({
 SEED_MODULES = ("api/backends.py", "api/resilience.py")
 SEED_SERVICE_FUNCTIONS = frozenset({
     "_measure", "_launch_group", "_finish_group", "_fail_group",
-    "_run_degraded", "_store_put", "_check_provenance", "_assemble",
+    "_store_put", "_check_provenance", "_assemble",
 })
 
 #: Modules whose broad exception handlers the swallow rule audits.

@@ -52,32 +52,14 @@ class ExperimentScale:
     """Evaluation-scale knobs shared by the accuracy-in-the-loop artifacts.
 
     ``execution`` carries the sweep execution knobs (batch size,
-    strategy, workers, shared-votes fast path) — the single
+    strategy, shared-votes fast path) — the single
     :class:`~repro.core.sweep.ExecutionOptions` every consumer shares.
-    The flat ``batch_size``/``strategy``/``workers``/``shared_votes``
-    properties read through to it for convenience.
     """
 
     eval_samples: int = 256
     nm_values: tuple[float, ...] = (
         0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)
     execution: ExecutionOptions = field(default_factory=ExecutionOptions)
-
-    @property
-    def batch_size(self) -> int:
-        return self.execution.batch_size
-
-    @property
-    def strategy(self) -> str:
-        return self.execution.strategy
-
-    @property
-    def workers(self) -> int:
-        return self.execution.workers
-
-    @property
-    def shared_votes(self) -> bool:
-        return self.execution.shared_votes
 
     @_instance_or_default_method
     def quick(self) -> "ExperimentScale":
@@ -86,9 +68,9 @@ class ExperimentScale:
         Subsamples the NM grid (every third value, keeping the final —
         clean — point), caps the eval set at 96 samples and evaluates it
         as a single batch; every other knob (custom grids, strategy,
-        workers) carries over via :func:`dataclasses.replace`.  Callable
-        on the class (``ExperimentScale.quick()``) for the default quick
-        scale.
+        shared votes) carries over via :func:`dataclasses.replace`.
+        Callable on the class (``ExperimentScale.quick()``) for the
+        default quick scale.
         """
         nm_values = self.nm_values[::3]
         if nm_values[-1] != self.nm_values[-1]:

@@ -49,8 +49,9 @@ def _direct_fig9(benchmark: str, scale: ExperimentScale,
     curves = group_wise_analysis(
         entry.model, test_set, groups=list(INJECTABLE_GROUPS),
         nm_values=scale.nm_values, na=0.0, seed=seed,
-        batch_size=scale.batch_size, strategy=scale.strategy,
-        workers=scale.workers, shared_votes=scale.shared_votes)
+        batch_size=scale.execution.batch_size,
+        strategy=scale.execution.strategy,
+        shared_votes=scale.execution.shared_votes)
     baseline = next(iter(curves.values())).baseline_accuracy
     return fig9.Fig9Result(benchmark, baseline, curves)
 
@@ -64,8 +65,9 @@ def _direct_fig10(benchmark: str, scale: ExperimentScale,
     curves = layer_wise_analysis(
         entry.model, test_set, groups=list(fig10.NON_RESILIENT_GROUPS),
         layers=layers, nm_values=scale.nm_values, na=0.0, seed=seed,
-        batch_size=scale.batch_size, strategy=scale.strategy,
-        workers=scale.workers, shared_votes=scale.shared_votes)
+        batch_size=scale.execution.batch_size,
+        strategy=scale.execution.strategy,
+        shared_votes=scale.execution.shared_votes)
     baseline = next(iter(curves.values())).baseline_accuracy
     return fig10.Fig10Result(benchmark, baseline, curves, layers)
 
@@ -152,7 +154,8 @@ class TestBackendGoldenCompat:
         assert text == fig9_direct, config
 
     @pytest.mark.parametrize("config", ["threads-sharded",
-                                        "procpool-whole"])
+                                        "procpool-whole",
+                                        "procpool-sharded"])
     def test_fig10_quick_byte_identical_on_parallel_backends(
             self, tmp_path, fig10_direct, config):
         text = self._run_with(tmp_path, BACKEND_CONFIGS[config],

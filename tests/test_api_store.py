@@ -102,16 +102,15 @@ class TestCacheSemantics:
         assert service.run(request_) is not None  # clean scope works
 
     def test_result_invariant_knobs_share_one_entry(self, service, request_):
-        """naive↔cached are bit-identical streams and workers never change
-        results, so they must map to the same store key (and the entry
-        written by one must serve the other)."""
+        """naive↔cached are bit-identical streams, so they must map to
+        the same store key (and the entry written by one must serve the
+        other)."""
         naive = dataclasses.replace(
             request_,
             options=dataclasses.replace(request_.options, strategy="naive"))
         cached = dataclasses.replace(
             request_,
-            options=dataclasses.replace(request_.options, strategy="cached",
-                                        workers=2))
+            options=dataclasses.replace(request_.options, strategy="cached"))
         cold = service.run(naive)
         warm = service.run(cached)
         assert warm.from_cache
@@ -205,6 +204,66 @@ class TestSchemaRoundTrip:
         assert entry.targets == 2
         assert entry.nm_values == len(NM_VALUES)
         assert entry.noise == "gaussian"
+
+
+class TestLegacyWorkersOption:
+    """Payloads written while ``ExecutionOptions`` still had a
+    ``workers`` knob (an in-engine process fan-out) carry
+    ``options.workers``.  It never changed results, so such requests and
+    stored results must still decode, hash and hit exactly as before."""
+
+    #: ``request_.fingerprint()`` as computed by the code that still
+    #: serialised ``workers`` (it was already outside ``cache_key``).
+    LEGACY_FINGERPRINT = "b6b7e65da14b61e544f7"
+
+    @staticmethod
+    def _with_workers(payload: dict) -> dict:
+        payload = json.loads(json.dumps(payload))
+        payload["options"]["workers"] = 2
+        return payload
+
+    def test_request_payload_with_workers_decodes(self, request_):
+        legacy = self._with_workers(request_.to_payload())
+        decoded = AnalysisRequest.from_payload(legacy)
+        assert decoded == request_
+        assert "workers" not in decoded.to_payload()["options"]
+        assert decoded.fingerprint() == request_.fingerprint() \
+            == self.LEGACY_FINGERPRINT
+
+    def test_result_payload_with_workers_decodes(self, service, request_):
+        result = service.run(request_)
+        payload = result.to_payload()
+        payload["request"] = self._with_workers(payload["request"])
+        decoded = AnalysisResult.from_payload(payload)
+        assert decoded == result
+        assert "workers" not in decoded.to_payload()["request"]["options"]
+        assert decoded.request.fingerprint() == self.LEGACY_FINGERPRINT
+
+    def test_legacy_store_entry_is_a_hit(self, service, request_,
+                                         trained_capsnet, mnist_splits):
+        cold = service.run(request_)
+        [key] = service.store.keys()
+        path = service.store.path_for(key)
+        with open(path) as stream:
+            payload = json.load(stream)
+        payload["request"] = self._with_workers(payload["request"])
+        with open(path, "w") as stream:
+            json.dump(payload, stream)
+        fresh = ResilienceService(cache_dir=service.store.root)
+        fresh.register("store-test", trained_capsnet, mnist_splits[1])
+        warm = fresh.run(request_)
+        assert warm.from_cache
+        assert _accuracies(warm) == _accuracies(cold)
+
+    def test_unknown_option_still_rejected(self, request_):
+        payload = request_.to_payload()
+        payload["options"]["bogus"] = 1
+        with pytest.raises(TypeError):
+            AnalysisRequest.from_payload(payload)
+
+    def test_workers_is_no_longer_a_knob(self):
+        with pytest.raises(TypeError):
+            ExecutionOptions(workers=2)
 
 
 class TestCompletenessGuard:

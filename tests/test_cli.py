@@ -53,12 +53,20 @@ class TestSweepFlagRouting:
         err = capsys.readouterr().err
         assert "table1" in err and "--strategy" in err
 
-    def test_workers_rejected_for_fig6(self, capsys):
-        """fig6 accepts a scale-like knob (--quick) but runs no sweeps;
-        its old lambda swallowed --workers via ``*_``."""
-        assert main(["run", "fig6", "--workers", "2"]) == 2
+    def test_max_retries_rejected_for_fig6(self, capsys):
+        """fig6 accepts a scale-like knob (--quick) but runs no sweeps,
+        so a sweep flag such as --max-retries must error, not vanish."""
+        assert main(["run", "fig6", "--max-retries", "1"]) == 2
         err = capsys.readouterr().err
-        assert "fig6" in err and "--workers" in err
+        assert "fig6" in err and "--max-retries" in err
+
+    def test_workers_flag_is_gone(self, capsys):
+        """Sweeps parallelise through a sharding backend
+        (--backend procpool --max-parallel N), not a --workers flag."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "fig9", "--quick", "--workers", "2"])
+        assert exit_.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_shared_votes_rejected_for_table4(self, capsys):
         assert main(["run", "table4", "--no-shared-votes"]) == 2

@@ -43,10 +43,9 @@ def _accuracies(curves):
             for key, curve in curves.items()}
 
 
-def _sweep(model, dataset, strategy, targets, *, batch_size=40, workers=0,
-           seed=3):
+def _sweep(model, dataset, strategy, targets, *, batch_size=40, seed=3):
     engine = SweepEngine(model, dataset, batch_size=batch_size,
-                         strategy=strategy, workers=workers)
+                         strategy=strategy)
     return engine.sweep(targets, NM_VALUES, seed=seed)
 
 
@@ -138,16 +137,6 @@ class TestVectorizedEquivalence:
         for key in per_point:
             for lone, wide in zip(per_point[key], stacked[key]):
                 assert lone == pytest.approx(wide, abs=1e-9)
-
-    def test_worker_pool_matches_sequential(self, capsnet_setup):
-        model, test_set = capsnet_setup
-        targets = [(GROUP_MAC, None), (GROUP_SOFTMAX, None),
-                   (GROUP_MAC, "Conv1")]
-        sequential = _accuracies(_sweep(model, test_set, "vectorized",
-                                        targets))
-        fanned = _accuracies(_sweep(model, test_set, "vectorized", targets,
-                                    workers=2))
-        assert sequential == fanned
 
 
 class TestEngineBehaviour:
