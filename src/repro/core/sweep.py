@@ -718,13 +718,15 @@ class SweepEngine:
         """How many NM points to stack per replay.
 
         Stacking trades Python/BLAS call overhead against working-set size;
-        past the cache-friendly region the big stacked im2col/routing
+        past the cache-friendly region the big stacked stage/routing
         temporaries become bandwidth-bound and *lose* to smaller replays,
         so the chunk is bounded by the memory the replayed suffix touches
         (``REPRO_SWEEP_STACK_BYTES`` overrides the budget).  ``expansion``
-        scales the per-slice estimate for stages that inflate their input
-        (im2col inside a replayed conv stage); the shared-votes routing
-        path passes 1 because its suffix is contraction-dominated, plus a
+        covers the stage-sized arrays a replayed stage holds at once (tiled
+        input, output, noise draws, activation temporaries; not im2col,
+        which conv2d blocks to 1 MiB): at 1, steps24-deepcaps peak RSS
+        rose from 108 to 139-157 MB with no latency gain.  Shared-votes
+        routing passes 1 because its suffix is contraction-dominated, plus a
         ``floor_bytes`` covering the stacked routing-state transients its
         stage outputs cannot see.  The per-stage bytes come from the
         observe pass, so stages whose output the trace does not store

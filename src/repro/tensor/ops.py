@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = ["conv2d", "conv_output_size", "im2col", "col2im"]
 
@@ -61,6 +61,13 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int,
 
 #: Channel count at which conv2d switches to channels-last patch lowering.
 _NHWC_MIN_CHANNELS = 8
+
+#: Byte cap on one no-grad conv2d patch matrix (half a 2 MiB L2).
+_COLS_BLOCK_BYTES = 1 << 20
+
+#: Multiply-adds up to which OpenBLAS may run a GEMM on a small-matrix kernel
+#: that sums in another order than its blocked kernel (measured on AVX-512).
+_BLAS_SMALL_MACS = 100 ** 3
 
 
 def _im2col_nhwc(x: np.ndarray, kernel: tuple[int, int], stride: int,
@@ -173,21 +180,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     # transpose outweighs the granularity win, so those keep NCHW order.
     channels_last = c >= _NHWC_MIN_CHANNELS
     if channels_last:
-        cols, (oh, ow) = _im2col_nhwc(x.data, (kh, kw), stride, padding)
+        lower = _im2col_nhwc
         w_mat = np.ascontiguousarray(
             weight.data.transpose(0, 2, 3, 1)).reshape(f, kh * kw * c)
     else:
-        cols, (oh, ow) = im2col(x.data, (kh, kw), stride, padding)
+        lower = im2col
         w_mat = weight.data.reshape(f, c * kh * kw)
-    out_mat = cols @ w_mat.T
-    if bias is not None:
-        out_mat += bias.data
-    # NCHW layout materialised contiguously once: every consumer (reshape,
-    # activation, noise injection) would otherwise re-copy the strided view.
-    out_data = np.ascontiguousarray(
-        out_mat.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
-
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # Without a gradient: near-equal blocks of whole images, as few as keep
+    # each patch matrix within _COLS_BLOCK_BYTES but none with a GEMM of at
+    # most _BLAS_SMALL_MACS, so each output is the same K-length dot product
+    # as in one GEMM, bit for bit.  Backward needs the whole patch matrix.
+    blocks = 1
+    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+        image_macs = oh * ow * c * kh * kw * f
+        per_block = max(1, _COLS_BLOCK_BYTES // (4 * image_macs // f))
+        blocks = max(1, min(-(-n // per_block),
+                            n // (_BLAS_SMALL_MACS // image_macs + 1)))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    # Contiguous NCHW, which every consumer would otherwise re-copy.
+    out_data = np.empty((n, f, oh, ow), dtype=np.float32)
+    for lo, hi in zip(bounds, bounds[1:]):
+        cols, _ = lower(x.data[lo:hi], (kh, kw), stride, padding)
+        out_mat = cols @ w_mat.T
+        if bias is not None:
+            out_mat += bias.data
+        out_data[lo:hi] = out_mat.reshape(-1, oh, ow, f).transpose(0, 3, 1, 2)
+
     out = Tensor._result(out_data, parents, "conv2d")
     if not out.requires_grad:
         return out

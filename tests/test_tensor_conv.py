@@ -1,10 +1,12 @@
 """Convolution primitive: reference correctness, gradients, shape rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal
 
-from repro.tensor import Tensor, conv2d, conv_output_size, im2col
+from repro.tensor import Tensor, conv2d, conv_output_size, im2col, ops
 from tests.conftest import numeric_gradient
 
 
@@ -186,3 +188,104 @@ def test_conv2d_bitwise_matches_unfused_copies(channels, stride, padding,
     assert out.flags.c_contiguous
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+def _image_macs(channels, size, kernel, stride, padding, filters):
+    """Multiply-adds of one image's conv GEMM."""
+    side = conv_output_size(size, kernel, stride, padding)
+    return side * side * channels * kernel * kernel * filters
+
+
+@pytest.fixture
+def lowered_blocks(monkeypatch):
+    """Image counts of the blocks conv2d lowers, in call order."""
+    sizes = []
+    for name in ("im2col", "_im2col_nhwc"):
+        lower = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda x, *a, _lower=lower: (
+            sizes.append(len(x)), _lower(x, *a))[1])
+    return sizes
+
+
+@pytest.mark.parametrize("channels", [3, 8])
+@pytest.mark.parametrize("kernel", [1, 3, 9])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_conv2d_batch_blocks_are_bitwise_invisible(
+        monkeypatch, lowered_blocks, channels, kernel, stride, padding,
+        with_bias):
+    """No-grad conv2d lowers the batch in blocks of whole images; the blocks
+    must never change a bit of the output.  Byte caps of 1 (1-image
+    blocks), 2, 3 and 2.5 images (uneven blocks at batch 7) against one
+    block, on images too small to cut and on images whose own GEMM is
+    past the small-GEMM floor."""
+    filters = 64
+    rng = np.random.default_rng(channels * 1000 + kernel * 100
+                                + stride * 10 + padding)
+    w = Tensor(rng.normal(size=(filters, channels, kernel, kernel))
+               .astype(np.float32))
+    b = (Tensor(rng.normal(size=filters).astype(np.float32))
+         if with_bias else None)
+    big = kernel
+    while _image_macs(channels, big, kernel, stride, padding,
+                      filters) <= ops._BLAS_SMALL_MACS:
+        big += 1
+    for size in (kernel + 2, big):
+        macs = _image_macs(channels, size, kernel, stride, padding, filters)
+        image = macs // filters * 4
+        for batch in (1, 7):
+            x = Tensor(rng.normal(size=(batch, channels, size, size))
+                       .astype(np.float32))
+            monkeypatch.setattr(ops, "_COLS_BLOCK_BYTES", batch * image)
+            whole = conv2d(x, w, b, stride=stride, padding=padding).data
+            for cap in (1, 2 * image, 3 * image, 5 * image // 2):
+                monkeypatch.setattr(ops, "_COLS_BLOCK_BYTES", cap)
+                lowered_blocks.clear()
+                out = conv2d(x, w, b, stride=stride, padding=padding).data
+                assert out.flags.c_contiguous and out.dtype == np.float32
+                assert out.shape == whole.shape
+                assert out.tobytes() == whole.tobytes(), (size, batch, cap)
+                assert sum(lowered_blocks) == batch
+                if size == big:
+                    assert max(lowered_blocks) == min(batch,
+                                                      max(1, cap // image))
+                elif len(lowered_blocks) > 1:
+                    assert min(lowered_blocks) * macs > ops._BLAS_SMALL_MACS
+
+
+def test_conv2d_grad_path_is_one_block(monkeypatch, lowered_blocks):
+    """Backward needs the whole patch matrix, so a graph-building call
+    ignores the block cap: same bits, and the input still gets a
+    gradient."""
+    rng = np.random.default_rng(3)
+    x_data = rng.normal(size=(3, 8, 40, 40)).astype(np.float32)
+    w = Tensor(rng.normal(size=(64, 8, 3, 3)).astype(np.float32))
+    monkeypatch.setattr(ops, "_COLS_BLOCK_BYTES", 1)
+    blocked = conv2d(Tensor(x_data), w, padding=1).data
+    assert lowered_blocks == [1, 1, 1]
+    x = Tensor(x_data, requires_grad=True)
+    out = conv2d(x, w, padding=1)
+    assert lowered_blocks[3:] == [3]
+    assert out.requires_grad and out._backward is not None
+    assert out.data.tobytes() == blocked.tobytes()
+    out.sum().backward()
+    assert x.grad is not None and x.grad.shape == x_data.shape
+
+
+def test_no_grad_conv2d_peak_memory_is_bounded_by_the_block():
+    """CapsNet PrimaryCaps at 96 samples: the unblocked patch matrix alone
+    is 34 MiB; blocked, the call stays within its output, its input and a
+    few blocks."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(96, 32, 20, 20)).astype(np.float32))
+    w = Tensor(rng.normal(size=(32, 32, 9, 9)).astype(np.float32))
+    patches = 96 * _image_macs(32, 20, 9, 2, 0, 32) // 32 * 4
+    assert patches > 32 * ops._COLS_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, stride=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + x.data.nbytes + 4 * ops._COLS_BLOCK_BYTES
