@@ -111,15 +111,6 @@ class ExecutionBackend:
 
     name: str = "abstract"
     parallel: int = 1
-    #: Whether this backend can terminate a running out-of-process
-    #: measurement on a :class:`~repro.api.events.PreemptToken` set
-    #: (the worker pool's kill path).  In-process backends leave this
-    #: False — their measurements observe the token cooperatively
-    #: through the sweep engine's checkpoints instead.
-    supports_preempt: bool = False
-    #: Whether scripted chaos faults ride the wire and execute inside a
-    #: real worker (``submit(..., chaos=...)``; see :class:`ChaosBackend`).
-    chaos_rider: bool = False
     #: Cumulative crashed/killed-worker replacements (pools count them).
     worker_restarts: int = 0
 
@@ -129,10 +120,13 @@ class ExecutionBackend:
         return {}
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None) -> Future:
+               on_start: Callable[[], None] | None = None,
+               preempt=None) -> Future:
         """Execute ``runner(request)`` (or an equivalent out-of-process
         measurement of ``request``) and return a Future of the result.
-        ``on_start`` fires when the measurement actually begins."""
+        ``on_start`` fires when the measurement actually begins.  A set
+        ``preempt`` token kills a pool worker; in-process backends ignore
+        it (their runner polls it at the engine's checkpoints)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -164,7 +158,8 @@ class InlineBackend(ExecutionBackend):
     parallel = 1
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None) -> Future:
+               on_start: Callable[[], None] | None = None,
+               preempt=None) -> Future:
         future: Future = Future()
         future.set_running_or_notify_cancel()
         try:
@@ -200,7 +195,8 @@ class ThreadBackend(ExecutionBackend):
             return self._pool
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
-               on_start: Callable[[], None] | None = None) -> Future:
+               on_start: Callable[[], None] | None = None,
+               preempt=None) -> Future:
         return self._ensure_pool().submit(_with_start(runner, on_start),
                                           request)
 
@@ -539,9 +535,6 @@ class PoolBackend(ExecutionBackend):
     of their own, never held together with it.
     """
 
-    supports_preempt = True
-    chaos_rider = True
-
     def __init__(self, transport, max_parallel: int, *,
                  heartbeat_grace: float | None = 10.0,
                  poll_interval: float = 0.1,
@@ -583,7 +576,7 @@ class PoolBackend(ExecutionBackend):
 
     def submit(self, request: AnalysisRequest, runner: Runner, *,
                on_start: Callable[[], None] | None = None,
-               chaos: dict | None = None, preempt=None) -> Future:
+               preempt=None, chaos: dict | None = None) -> Future:
         if request.model.session is not None:
             raise BackendError(
                 f"the {self.name} backend cannot serve session ref "
@@ -906,7 +899,7 @@ class ChaosBackend(ExecutionBackend):
             raise TypeError(f"fault_plan must be a FaultPlan, "
                             f"got {type(fault_plan).__name__}")
         if any(fault.kind == "hang" for fault in fault_plan.faults) \
-                and not inner.chaos_rider:
+                and not isinstance(inner, PoolBackend):
             raise ValueError(
                 f"hang faults hold a worker hostage and need a "
                 f"worker-owning backend's watchdog to recover "
@@ -925,10 +918,6 @@ class ChaosBackend(ExecutionBackend):
     def worker_restarts(self) -> int:
         return self.inner.worker_restarts
 
-    @property
-    def supports_preempt(self) -> bool:
-        return self.inner.supports_preempt
-
     def pool_snapshot(self) -> dict:
         return self.inner.pool_snapshot()
 
@@ -936,9 +925,6 @@ class ChaosBackend(ExecutionBackend):
                on_start: Callable[[], None] | None = None,
                preempt=None) -> Future:
         fingerprint = request.fingerprint()
-        kwargs = {"on_start": on_start}
-        if preempt is not None and self.supports_preempt:
-            kwargs["preempt"] = preempt
         with self._lock:
             shard = self._order.setdefault(fingerprint, len(self._order))
             attempt = self._attempts.get(fingerprint, 0)
@@ -947,12 +933,14 @@ class ChaosBackend(ExecutionBackend):
             if fault is not None:
                 self.injected += 1
         if fault is None:
-            return self.inner.submit(request, runner, **kwargs)
+            return self.inner.submit(request, runner, on_start=on_start,
+                                     preempt=preempt)
         logger.info("chaos: injecting %s on shard %d attempt %d",
                     fault.kind, shard, attempt)
-        if self.inner.chaos_rider:
-            return self.inner.submit(request, runner,
-                                     chaos=fault.to_payload(), **kwargs)
+        if isinstance(self.inner, PoolBackend):
+            return self.inner.submit(request, runner, on_start=on_start,
+                                     preempt=preempt,
+                                     chaos=fault.to_payload())
         return self._simulate(fault, request, runner, on_start,
                               shard, attempt)
 

@@ -52,13 +52,13 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 from .backends import (RemotePoolBackend, _shutdown, parse_worker_address,
                        serve_frames)
 from .events import TERMINAL_EVENTS, AnalysisEvent
 from .request import SCHEMA_VERSION, AnalysisRequest
-from .server import WAIT_SLICE_SECONDS, RemoteError
+from .server import WAIT_SLICE_SECONDS, RemoteError, _JsonHandler, _Serving
 from .service import ResilienceService
 
 __all__ = ["WorkerAgent", "RemotePoolBackend", "ClusterCoordinator",
@@ -86,7 +86,7 @@ class _AgentServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _AgentHandler)
 
 
-class WorkerAgent:
+class WorkerAgent(_Serving):
     """A TCP measurement worker (``repro worker --listen HOST:PORT``).
 
     Serves the framed procpool worker protocol to any number of
@@ -99,32 +99,16 @@ class WorkerAgent:
     accepting — indistinguishable from process death on the wire.
     """
 
+    _scheme = ""
+    _thread_name = "repro-worker-agent"
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  hard_exit: bool = False):
         self.hard_exit = hard_exit
         self.service = ResilienceService(use_store=False)
         self._conn_lock = threading.Lock()
         self._conns: set = set()
-        self._closed = False
-        self._server = _AgentServer((host, port), self)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    def start(self) -> "WorkerAgent":
-        """Serve on a background thread; returns self (tests/embedding)."""
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-worker-agent",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._server.serve_forever()
+        self._serve(_AgentServer((host, port), self))
 
     # ------------------------------------------------------------- lifecycle
     def _track(self, connection) -> None:
@@ -154,14 +138,9 @@ class WorkerAgent:
 
     def close(self) -> None:
         """Stop serving and release the agent's service (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        self.service.close()
+        if not self._closed:
+            self.shutdown()
+            self.service.close()
 
 
 class _AgentHandler(socketserver.StreamRequestHandler):
@@ -498,7 +477,7 @@ class ClusterCoordinator:
                 last_seq = 0
 
 
-class CoordinatorServer:
+class CoordinatorServer(_Serving):
     """Serve one :class:`ClusterCoordinator` over HTTP.
 
     The surface is the node API itself (same endpoints, same status
@@ -506,66 +485,17 @@ class CoordinatorServer:
     pointed at a coordinator behaves exactly as against a single node.
     """
 
+    _thread_name = "repro-coordinate"
+
     def __init__(self, coordinator: ClusterCoordinator, *,
                  host: str = "127.0.0.1", port: int = 0):
         self.coordinator = coordinator
-        self._closed = False
-        handler = _make_coordinator_handler(coordinator)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CoordinatorServer":
-        """Serve on a background thread; returns self."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="repro-coordinate",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        """Stop serving (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        self._serve(ThreadingHTTPServer(
+            (host, port), _make_coordinator_handler(coordinator)))
 
 
 def _make_coordinator_handler(coordinator: ClusterCoordinator):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, *args) -> None:  # noqa: D102
-            pass
-
-        def _reply(self, code: int, payload: dict | str,
-                   headers: dict | None = None) -> None:
-            body = (payload if isinstance(payload, str)
-                    else json.dumps(payload, sort_keys=True))
-            data = body.encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _error(self, code: int, message: str) -> None:
-            self._reply(code, {"error": message})
-
+    class Handler(_JsonHandler):
         def _forward(self, status: int, headers, body: bytes) -> None:
             """Re-send a node's answer under coordinator framing."""
             content_type = "application/json"
@@ -616,35 +546,12 @@ def _make_coordinator_handler(coordinator: ClusterCoordinator):
                 self._error(500, str(exc))
 
         def _events_route(self, job: str, query: str) -> None:
-            params = urllib.parse.parse_qs(query)
-            try:
-                values = params.get("after")
-                after = int(values[-1]) if values else 0
-            except ValueError:
-                after = 0
-            embed = (params.get("embed_partial", ["1"])[-1]
-                     not in ("0", "false"))
+            after, embed = self._stream_params(query)
             # Resolve the owner *before* committing to a 200 chunked
             # reply — an unknown job must still answer 404.
             coordinator.locate(job)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            try:
-                for line in coordinator.stream_events(
-                        job, after=after, embed_partial=embed):
-                    self._write_chunk(line)
-                self.wfile.write(b"0\r\n\r\n")
-            except (BrokenPipeError, ConnectionResetError):
-                # The client hung up mid-stream — nothing to answer.
-                self.close_connection = True
-
-        def _write_chunk(self, text: str) -> None:
-            data = text.encode()
-            self.wfile.write(f"{len(data):x}\r\n".encode())
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
+            self._stream(coordinator.stream_events(
+                job, after=after, embed_partial=embed))
 
         def do_POST(self) -> None:  # noqa: N802 — http.server API
             try:

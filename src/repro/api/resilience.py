@@ -15,11 +15,12 @@ exceptions that kill a multi-shard job:
   per-attempt provenance (:class:`AttemptRecord`).
 * **Retry with backoff + jitter** — :class:`RetryPolicy` classifies
   retryability and spaces attempts (exponential backoff, deterministic
-  hash-derived jitter so replays are reproducible);
-  :func:`dispatch_with_retries` drives a future-returning launch
-  callable through up to ``max_retries`` relaunches without blocking
-  any thread between attempts (timer-scheduled), and
-  :func:`retry_call` is the synchronous sibling for store writes.
+  hash-derived jitter so replays are reproducible).  The service's
+  per-shard run object (``_ShardRun`` in :mod:`repro.api.service`)
+  applies it to shard executions: up to ``max_retries`` relaunches,
+  timer-scheduled so no thread blocks between attempts, recorded as
+  :class:`AttemptRecord` provenance.  :func:`retry_call` applies it
+  synchronously to store writes.
 * **Worker supervision** — :class:`WorkerSupervisor` is a poll-loop
   watchdog enforcing per-shard wall-clock deadlines
   (``ExecutionOptions.shard_timeout``) and heartbeat freshness on the
@@ -59,8 +60,7 @@ from .events import AnalysisCancelled
 
 __all__ = ["BackendError", "WorkerCrashed", "WorkerTimeout",
            "WorkerPreempted", "ShardPoisoned",
-           "AttemptRecord", "RetryPolicy", "dispatch_with_retries",
-           "retry_call", "WorkerSupervisor", "ServiceHealth",
+           "AttemptRecord", "RetryPolicy", "retry_call", "WorkerSupervisor", "ServiceHealth",
            "Fault", "FaultPlan", "FaultyStore", "FAULT_KINDS"]
 
 logger = logging.getLogger("repro.api.resilience")
@@ -97,8 +97,8 @@ class WorkerPreempted(WorkerTimeout):
 
     A :class:`WorkerTimeout` subclass so every existing classification
     (retryable infrastructure loss, byte-identical replay) applies —
-    but the service's preemption wrapper intercepts it *before* the
-    retry layer sees it: a preempted shard requeues immediately without
+    but the service's shard run intercepts it *before* counting an
+    attempt failure: a preempted shard requeues immediately without
     burning retry budget, feeding the degradation streak, or counting
     as a worker restart (the worker was healthy; we shot it on
     purpose)."""
@@ -198,12 +198,10 @@ class RetryPolicy:
 
 def retry_call(fn: Callable[[], object], *, policy: RetryPolicy,
                max_retries: int, describe: str,
-               on_retry: Callable[[int, BaseException, float], None]
-               | None = None,
                sleep: Callable[[float], None] = time.sleep):
     """Synchronously call ``fn`` with the policy's retry/backoff.
 
-    The blocking sibling of :func:`dispatch_with_retries`, for store
+    The blocking sibling of the service's shard retries, for store
     writes and other short side effects.  Exhaustion re-raises the
     *last* error unchanged (a persistent ``OSError`` should surface as
     itself, not be re-wrapped — only shard executions classify as
@@ -217,94 +215,12 @@ def retry_call(fn: Callable[[], object], *, policy: RetryPolicy,
             if not policy.retryable(error) or attempt >= max_retries:
                 raise
             pause = policy.delay(attempt, key=describe)
-            if on_retry is not None:
-                on_retry(attempt, error, pause)
             logger.warning("retrying %s after %s: %s (attempt %d/%d, "
                            "backoff %.2fs)", describe,
                            type(error).__name__, error, attempt + 1,
                            max_retries, pause)
             sleep(pause)
             attempt += 1
-
-
-def dispatch_with_retries(launch: Callable[[int], "object"], *,
-                          policy: RetryPolicy, max_retries: int,
-                          describe: str,
-                          should_abort: Callable[[], bool] | None = None,
-                          on_retry: Callable[[int, BaseException, float],
-                                             None] | None = None,
-                          on_outcome: Callable[[BaseException | None],
-                                               None] | None = None):
-    """Drive ``launch(attempt) -> Future`` through retry attempts.
-
-    Returns one outer :class:`~concurrent.futures.Future` that resolves
-    with the first successful attempt's result, the first non-retryable
-    error, :class:`~repro.api.events.AnalysisCancelled` when
-    ``should_abort`` turns true between attempts, or
-    :class:`ShardPoisoned` (with full :class:`AttemptRecord`
-    provenance) once ``max_retries`` relaunches are exhausted.  Backoff
-    never blocks a thread: relaunches are timer-scheduled.
-
-    ``on_retry(attempt, error, delay)`` fires before each relaunch
-    (the service turns it into ``shard_retry`` events);
-    ``on_outcome(error_or_none)`` fires exactly once when the outer
-    future resolves (the degradation tracker's feed).
-    """
-    from concurrent.futures import Future
-
-    outer: Future = Future()
-    attempts: list[AttemptRecord] = []
-    started = [0.0]
-
-    def resolve_error(error: BaseException) -> None:
-        if on_outcome is not None:
-            on_outcome(error)
-        outer.set_exception(error)
-
-    def start_attempt() -> None:
-        if should_abort is not None and should_abort():
-            resolve_error(AnalysisCancelled(
-                f"shard {describe} cancelled between retry attempts"))
-            return
-        started[0] = time.monotonic()
-        try:
-            inner = launch(len(attempts))
-        except BaseException as error:  # noqa: BLE001 — classified below
-            handle_failure(error)
-            return
-        inner.add_done_callback(attempt_done)
-
-    def attempt_done(inner) -> None:
-        error = inner.exception()
-        if error is None:
-            if on_outcome is not None:
-                on_outcome(None)
-            outer.set_result(inner.result())
-            return
-        handle_failure(error)
-
-    def handle_failure(error: BaseException) -> None:
-        attempts.append(AttemptRecord(
-            attempt=len(attempts), error_type=type(error).__name__,
-            message=str(error),
-            elapsed_seconds=time.monotonic() - started[0]))
-        if not policy.retryable(error):
-            resolve_error(error)
-            return
-        if len(attempts) > max_retries:
-            poisoned = ShardPoisoned(describe, attempts)
-            poisoned.__cause__ = error
-            resolve_error(poisoned)
-            return
-        pause = policy.delay(len(attempts) - 1, key=describe)
-        if on_retry is not None:
-            on_retry(len(attempts), error, pause)
-        timer = threading.Timer(pause, start_attempt)
-        timer.daemon = True
-        timer.start()
-
-    start_attempt()
-    return outer
 
 
 # --------------------------------------------------------------- supervision

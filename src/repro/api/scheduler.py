@@ -436,15 +436,18 @@ class ShardQueue:
 
         ``runner`` and ``on_start`` are forwarded to the backend when the
         shard reaches the front; a set ``cancel`` token resolves the
-        future with :class:`~repro.api.events.AnalysisCancelled` instead
-        (checked both at dispatch time and, via the wrapped runner, at
-        measurement start — so even backend-pool queues drop promptly).
-        ``preempt`` is the shard attempt's
+        future with :class:`~repro.api.events.AnalysisCancelled` instead.
+        That is checked when the shard leaves this queue and, on
+        in-process backends, again when the wrapped runner starts (the
+        shard may have waited in a thread pool's own queue meanwhile).
+        ``PoolBackend.submit`` never calls the runner, so a pool shard
+        cancelled after it left this queue runs to completion.
+        ``preempt`` is the shard segment's
         :class:`~repro.api.events.PreemptToken`: it registers the shard
-        as a preemption victim candidate and is forwarded to backends
-        advertising ``supports_preempt`` so an out-of-process set can
-        kill the worker.  The tenant is the request's
-        ``options.client_id`` (:data:`DEFAULT_TENANT` when absent).
+        as a preemption victim candidate and is forwarded to the
+        backend, whose worker pool kills the worker when it is set.
+        The tenant is the request's ``options.client_id``
+        (:data:`DEFAULT_TENANT` when absent).
         """
         proxy: Future = Future()
         tenant = (getattr(getattr(request, "options", None),
@@ -671,11 +674,10 @@ class ShardQueue:
                 entry.proxy.set_result(inner.result())
             self._pump()
 
-        kwargs: dict = {"on_start": entry.on_start}
-        if entry.preempt is not None and self.backend.supports_preempt:
-            kwargs["preempt"] = entry.preempt
         try:
-            inner = self.backend.submit(entry.request, guarded, **kwargs)
+            inner = self.backend.submit(entry.request, guarded,
+                                        on_start=entry.on_start,
+                                        preempt=entry.preempt)
         except BaseException as exc:  # noqa: BLE001 — delivered via the proxy
             with self._lock:
                 self._running -= 1

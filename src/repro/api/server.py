@@ -69,6 +69,11 @@ __all__ = ["AnalysisServer", "RemoteService", "RemoteHandle", "RemoteError",
 #: reconnect; bounded so a dead client cannot pin a thread).
 WAIT_SLICE_SECONDS = 30.0
 
+#: Seconds between a serving loop's shutdown checks, so closing a server
+#: waits at most this long (``socketserver``'s 0.5 s default cost every
+#: close ~0.45 s).
+POLL_INTERVAL = 0.05
+
 
 class ServerDraining(RuntimeError):
     """The server is draining (SIGTERM) and admits no new submissions.
@@ -96,7 +101,53 @@ class RemoteBusy(RemoteError):
         self.retry_after = float(retry_after)
 
 
-class AnalysisServer:
+class _Serving:
+    """Background-thread lifecycle around one ``socketserver`` server.
+
+    Shared by :class:`AnalysisServer`, the fleet's ``CoordinatorServer``
+    and ``WorkerAgent``: :attr:`address`, :meth:`start`,
+    :meth:`serve_forever` and an idempotent :meth:`shutdown`, all
+    polling at :data:`POLL_INTERVAL`.
+    """
+
+    _scheme = "http://"
+    _thread_name = "repro-serve"
+
+    def _serve(self, server) -> None:
+        server.daemon_threads = True       # close never joins handlers
+        self._server = server
+        self._thread: threading.Thread | None = None
+        self._closed = False
+
+    @property
+    def address(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"{self._scheme}{host}:{port}"
+
+    def start(self):
+        """Serve on a background thread; returns self (for tests/embedding)."""
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        name=self._thread_name, daemon=True)
+        self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread until interrupted."""
+        self._server.serve_forever(poll_interval=POLL_INTERVAL)
+
+    def shutdown(self) -> None:
+        """Stop serving (idempotent — drain threads and ``finally``
+        blocks may both call it)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._server.shutdown()
+        self._server.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+
+
+class AnalysisServer(_Serving):
     """Serve one :class:`ResilienceService` over HTTP (see module doc).
 
     Parameters
@@ -113,39 +164,7 @@ class AnalysisServer:
         self._jobs: dict[str, AnalysisHandle] = {}
         self._jobs_lock = threading.Lock()
         self._draining = False
-        self._closed = False
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
-
-    # ---------------------------------------------------------------- control
-    @property
-    def address(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "AnalysisServer":
-        """Serve on a background thread; returns self (for tests/embedding)."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="repro-serve", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        """Stop serving (idempotent — drain threads and ``finally``
-        blocks may both call it)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        self._serve(ThreadingHTTPServer((host, port), _make_handler(self)))
 
     # ------------------------------------------------------- graceful drain
     @property
@@ -260,34 +279,92 @@ class AnalysisServer:
                 "health": health.snapshot() if health is not None else {}}
 
 
+class _JsonHandler(BaseHTTPRequestHandler):
+    """JSON replies and chunked ndjson streams: the framing shared by
+    the node and the fleet coordinator handlers."""
+
+    # Chunked transfer (the /v1/events stream) is an HTTP/1.1
+    # construct — a 1.0 response advertising it mis-frames for
+    # conformant clients.  Plain replies always carry
+    # Content-Length, so 1.1 keep-alive framing is satisfied too.
+    protocol_version = "HTTP/1.1"
+
+    # Silence per-request stderr logging (the CLI prints the address).
+    def log_message(self, *args) -> None:  # noqa: D102
+        pass
+
+    def _reply(self, code: int, payload: dict | str,
+               headers: dict | None = None) -> None:
+        body = (payload if isinstance(payload, str)
+                else json.dumps(payload, sort_keys=True))
+        data = body.encode()
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    def _error(self, code: int, message: str) -> None:
+        self._reply(code, {"error": message})
+
+    @staticmethod
+    def _stream_params(query: str) -> tuple[int, bool]:
+        """An events query's ``after=`` (0 when absent or malformed)
+        and ``embed_partial=`` (on unless ``0``/``false``: slim
+        ``shard_done`` pointers keep wide requests from amplifying
+        O(shards×curves) bytes through every proxy hop)."""
+        params = urllib.parse.parse_qs(query)
+        try:
+            values = params.get("after")
+            after = int(values[-1]) if values else 0
+        except ValueError:
+            after = 0
+        embed = (params.get("embed_partial", ["1"])[-1]
+                 not in ("0", "false"))
+        return after, embed
+
+    def _stream(self, lines) -> None:
+        """Answer 200 with ``lines`` as a chunked ndjson body."""
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        try:
+            for text in lines:
+                data = text.encode()
+                self.wfile.write(f"{len(data):x}\r\n".encode() + data
+                                 + b"\r\n")
+            self.wfile.write(b"0\r\n\r\n")
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up mid-stream (e.g. right after the
+            # terminal event) — nothing left to answer.
+            self.close_connection = True
+
+
+def _event_lines(handle: AnalysisHandle, after: int, embed: bool):
+    """One ndjson line per event of ``handle`` past ``after``."""
+    yielded = 0
+    for event in handle.events(after=after, timeout=WAIT_SLICE_SECONDS,
+                               embed_partial=embed):
+        yielded += 1
+        yield event.to_json() + "\n"
+    if yielded == 0 and after > 0 and handle.done():
+        # A consumer resuming (after=N) against a job resurrected from
+        # the store would spin forever: the rebuilt log is a single
+        # terminal event whose seq is below what the client already
+        # saw, so the normal replay yields nothing.  Re-send just the
+        # terminal event — shard_done history was already delivered in
+        # the previous server life, so nothing duplicates — and the
+        # client's stream closes.
+        for event in handle.events(after=0, timeout=0.5):
+            if event.terminal and event.seq <= after:
+                yield event.to_json() + "\n"
+
+
 def _make_handler(server: AnalysisServer):
-    class Handler(BaseHTTPRequestHandler):
-        # Chunked transfer (the /v1/events stream) is an HTTP/1.1
-        # construct — a 1.0 response advertising it mis-frames for
-        # conformant clients.  Plain replies always carry
-        # Content-Length, so 1.1 keep-alive framing is satisfied too.
-        protocol_version = "HTTP/1.1"
-
-        # Silence per-request stderr logging (the CLI prints the address).
-        def log_message(self, *args) -> None:  # noqa: D102
-            pass
-
-        def _reply(self, code: int, payload: dict | str,
-                   headers: dict | None = None) -> None:
-            body = (payload if isinstance(payload, str)
-                    else json.dumps(payload, sort_keys=True))
-            data = body.encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _error(self, code: int, message: str) -> None:
-            self._reply(code, {"error": message})
-
+    class Handler(_JsonHandler):
         # ------------------------------------------------------------- routes
         def do_GET(self) -> None:  # noqa: N802 — http.server API
             try:
@@ -370,51 +447,8 @@ def _make_handler(server: AnalysisServer):
             if handle is None:
                 self._error(404, f"unknown job {job!r}")
                 return
-            params = urllib.parse.parse_qs(query)
-            try:
-                values = params.get("after")
-                after = int(values[-1]) if values else 0
-            except ValueError:
-                after = 0
-            # ?embed_partial=0 slims shard_done payloads to pointers —
-            # wide requests otherwise amplify O(shards×curves) bytes
-            # through every proxy hop.
-            embed = (params.get("embed_partial", ["1"])[-1]
-                     not in ("0", "false"))
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            try:
-                yielded = 0
-                for event in handle.events(after=after,
-                                           timeout=WAIT_SLICE_SECONDS,
-                                           embed_partial=embed):
-                    yielded += 1
-                    self._write_chunk(event.to_json() + "\n")
-                if yielded == 0 and after > 0 and handle.done():
-                    # A consumer resuming (after=N) against a job
-                    # resurrected from the store would spin forever:
-                    # the rebuilt log is a single terminal event whose
-                    # seq is below what the client already saw, so the
-                    # normal replay yields nothing.  Re-send just the
-                    # terminal event — shard_done history was already
-                    # delivered in the previous server life, so nothing
-                    # duplicates — and the client's stream closes.
-                    for event in handle.events(after=0, timeout=0.5):
-                        if event.terminal and event.seq <= after:
-                            self._write_chunk(event.to_json() + "\n")
-                self.wfile.write(b"0\r\n\r\n")
-            except (BrokenPipeError, ConnectionResetError):
-                # The client hung up mid-stream (e.g. right after the
-                # terminal event) — nothing left to answer.
-                self.close_connection = True
-
-        def _write_chunk(self, text: str) -> None:
-            data = text.encode()
-            self.wfile.write(f"{len(data):x}\r\n".encode())
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
+            after, embed = self._stream_params(query)
+            self._stream(_event_lines(handle, after, embed))
 
         def do_POST(self) -> None:  # noqa: N802 — http.server API
             try:

@@ -74,6 +74,7 @@ thread-local, so worker threads cannot contaminate each other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import threading
 import time
@@ -94,9 +95,9 @@ from ..train import evaluate_accuracy
 from .backends import ExecutionBackend, ThreadBackend, make_backend
 from .events import AnalysisCancelled, CancelToken, EventLog, PreemptToken
 from .request import AnalysisRequest, AnalysisResult, ModelRef, PartialResult
-from .resilience import (BackendError, FaultPlan, RetryPolicy, ServiceHealth,
-                         ShardPoisoned, WorkerPreempted,
-                         dispatch_with_retries, retry_call)
+from .resilience import (AttemptRecord, BackendError, FaultPlan, RetryPolicy,
+                         ServiceHealth, ShardPoisoned, WorkerPreempted,
+                         retry_call)
 from .scheduler import ShardQueue, merge_partial, merge_shards, plan_shards
 from .store import ResultStore, store_key
 
@@ -403,6 +404,281 @@ class _InflightEntry:
     future: Future
     progress: ShardProgress
     job: _Job | None = None
+
+
+class _ShardRun:
+    """One shard's fault-tolerant execution, resolved through one future.
+
+    Owns everything a shard needs between dispatch and result: its
+    attempt records, the points parked by preemption, the started flag
+    and :attr:`future`.  A shard is *queued or running* (one attempt in
+    the shard queue, or on the degraded fallback), *backing off* (a
+    timer waits out the retry delay) or *resolved*.  Each transition is
+    one method:
+
+    * :meth:`start` begins an attempt.  A set cancel token resolves
+      :class:`~repro.api.events.AnalysisCancelled`.  A degraded service
+      measures the whole shard on the in-process fallback.  Otherwise
+      :meth:`_launch` queues it with a fresh
+      :class:`~repro.api.events.PreemptToken`.
+    * :meth:`_done` takes one segment's outcome.  Success merges the
+      parked points into the full-shard result.  A preemption parks the
+      measured points and requeues only the unmeasured remainder inside
+      the same attempt, so it never spends retry budget or feeds
+      :class:`~repro.api.resilience.ServiceHealth`.  Anything else is an
+      attempt failure.
+    * :meth:`_failed` records the :class:`~repro.api.resilience.
+      AttemptRecord`.  A retryable failure within ``max_retries``
+      announces ``shard_retry`` and relaunches the **full** shard with
+      an empty park after the :class:`~repro.api.resilience.RetryPolicy`
+      backoff (so chaos (shard, attempt) coordinates never move).
+      Otherwise the error resolves the run, as
+      :class:`~repro.api.resilience.ShardPoisoned` once the budget is
+      spent.
+    * :meth:`_resolve` feeds the health tracker once.  For a sharded
+      sub-request that owns an in-flight ``key``, it then checks
+      provenance, persists the result and releases the key.  Last, it
+      sets :attr:`future`.
+
+    :meth:`_done` and :meth:`start` run as future and timer callbacks,
+    so every failure they meet is delivered through :attr:`future`.
+    """
+
+    def __init__(self, service: ResilienceService, shard: AnalysisRequest,
+                 group: list[_Job], index: int, key: str | None = None):
+        self.service = service
+        self.shard = shard
+        self.group = group
+        self.index = index
+        self.key = key
+        self.run = group[0].run
+        self.token = self.run.token if self.run is not None else None
+        self.describe = f"{shard.fingerprint()[:12]}#{index}"
+        self.future: Future = Future()
+        self.progress = ShardProgress()       # what in-flight joiners see
+        self.attempts: list[AttemptRecord] = []
+        self.parked: dict = {}            # (target.key, nm) -> ResiliencePoint
+        self.started = False
+        self._began = 0.0
+
+    # ----------------------------------------------------------- transitions
+    def start(self) -> None:
+        """Begin one attempt (the backoff timer's target too)."""
+        if self.token is not None and self.token.is_set():
+            self._resolve(AnalysisCancelled(
+                f"shard {self.describe} cancelled between retry attempts"))
+            return
+        self._began = time.monotonic()
+        self.parked = {}
+        degraded = self.service.health.degraded
+        if degraded:
+            self._announce_degraded()
+        self._launch(self.shard, degraded=degraded)
+
+    def _launch(self, request: AnalysisRequest, *,
+                degraded: bool = False) -> None:
+        """Queue one segment with a fresh preempt token, or run it on the
+        in-process fallback (byte-identical: noise streams are stateless)."""
+        service = self.service
+        on_start = None if self.started else self._mark_started
+        preempt = None if degraded else PreemptToken()
+        runner = functools.partial(service._measure, cancel=self.token,
+                                   preempt=preempt)
+        try:
+            if degraded:
+                inner = service._degraded_backend.submit(
+                    request, runner, on_start=on_start)
+            else:
+                inner = service.queue.submit(
+                    request, runner, priority=self.group[0].priority,
+                    cancel=self.token, on_start=on_start, preempt=preempt)
+        except BaseException as error:  # noqa: BLE001 — an attempt failure
+            self._failed(error)
+            return
+        inner.add_done_callback(functools.partial(self._done, preempt))
+
+    def _done(self, preempt: PreemptToken | None, inner: Future) -> None:
+        """One segment finished: resolve, park and requeue, or fail."""
+        error = inner.exception()
+        if error is None:
+            try:
+                result = self._assemble(inner.result())
+            except BaseException as failure:  # noqa: BLE001 — an attempt failure
+                self._failed(failure)
+                return
+            self._resolve(None, result)
+            return
+        if isinstance(error, SweepPreempted):
+            fresh = self._park(error.partial)
+        elif isinstance(error, WorkerPreempted):
+            fresh = 0            # the killed worker's points are gone
+        else:
+            self._failed(error)
+            return
+        remainder = self._remainder() or self.shard
+        reason = preempt.reason or str(error)
+        with self.service._state_lock:
+            self.service.stats.preempted += 1
+        for job in self.group:
+            job.events.emit("preempted", {"shard": self.index,
+                                          "points_parked": fresh,
+                                          "reason": reason})
+        logger.info("shard %s preempted (%s); parked %d fresh point(s), "
+                    "requeueing %d target(s) × %d NM", self.describe,
+                    reason, fresh, len(remainder.targets),
+                    len(remainder.nm_values))
+        self._launch(remainder)
+
+    def _failed(self, error: BaseException) -> None:
+        """Record a failed attempt; back off and retry, or resolve."""
+        self.attempts.append(AttemptRecord(
+            attempt=len(self.attempts), error_type=type(error).__name__,
+            message=str(error),
+            elapsed_seconds=time.monotonic() - self._began))
+        policy = self.service.retry_policy
+        max_retries = self.shard.options.max_retries
+        if not policy.retryable(error):
+            self._resolve(error)
+            return
+        attempt = len(self.attempts)
+        if attempt > max_retries:
+            poisoned = ShardPoisoned(self.describe, self.attempts)
+            poisoned.__cause__ = error
+            self._resolve(poisoned)
+            return
+        delay = policy.delay(attempt - 1, key=self.describe)
+        logger.warning(
+            "shard %s attempt %d/%d failed (%s: %s); retrying in %.2fs",
+            self.describe, attempt, max_retries + 1, type(error).__name__,
+            error, delay)
+        self._record_health(error)
+        for job in self.group:
+            job.events.emit("shard_retry", {
+                "shard": self.index, "attempt": attempt,
+                "max_retries": max_retries,
+                "error": f"{type(error).__name__}: {error}",
+                "delay_seconds": delay})
+        timer = threading.Timer(delay, self.start)
+        timer.daemon = True
+        timer.start()
+
+    def _resolve(self, error: BaseException | None,
+                 result: AnalysisResult | None = None) -> None:
+        """Feed the health tracker, persist a sharded result, and set
+        :attr:`future`."""
+        # The terminal failure never passed through _failed's retry
+        # branch; unwrap poisoning so it still counts as the
+        # infrastructure loss it was.
+        self._record_health(error.__cause__
+                            if isinstance(error, ShardPoisoned) else error)
+        service = self.service
+        if self.key is not None:
+            self.progress.mark_done()
+            if error is None:
+                try:
+                    service._check_provenance(result, self.group[0])
+                    if service.store is not None:
+                        # Only ever a *complete* shard result:
+                        # cancellations and failures arrive as errors
+                        # and never reach the store.
+                        service._store_put(self.key, result,
+                                           self.shard.options)
+                except BaseException as failure:  # noqa: BLE001 — via the future
+                    error = failure
+            with service._state_lock:
+                service._inflight.pop(self.key, None)
+        if error is None:
+            self.future.set_result(result)
+        else:
+            self.future.set_exception(error)
+
+    # --------------------------------------------------------------- helpers
+    def _mark_started(self) -> None:
+        # Exactly one started/progress tick per shard, no matter how
+        # many attempts or segments it takes to begin measuring.
+        if not self.started:
+            self.started = True
+            self.service._mark_group_started(self.group)
+
+    def _record_health(self, error: BaseException | None) -> None:
+        health = self.service.health
+        if health.record(error):
+            logger.warning(
+                "service degraded: %d consecutive infrastructure "
+                "failures (last: %s: %s); remaining shards fall back to "
+                "in-process execution", health.degrade_threshold,
+                type(error).__name__, error)
+            self._announce_degraded()
+
+    def _announce_degraded(self) -> None:
+        """Emit the loud ``degraded`` event, once per shard group."""
+        if self.run is None or not self.run.announce_degraded_once():
+            return
+        snapshot = self.service.health.snapshot()
+        for job in self.group:
+            job.events.emit("degraded", snapshot)
+
+    def _park(self, partial: dict) -> int:
+        """Fold a preempted segment's measured points into the park;
+        returns how many were new."""
+        fresh = 0
+        for key, curve in (partial or {}).items():
+            for point in curve.points:
+                slot = (key, float(point.nm))
+                if slot not in self.parked:
+                    self.parked[slot] = point
+                    fresh += 1
+        return fresh
+
+    def _remainder(self) -> AnalysisRequest | None:
+        """The sub-request covering exactly the unmeasured points.
+
+        Targets with every NM parked drop out; the NM axis keeps the
+        original order restricted to values some remaining target still
+        needs (a target whose parked coverage overlaps the union simply
+        re-measures a few points — identical values, no harm).  Returns
+        ``None`` when nothing is missing.
+        """
+        shard = self.shard
+        missing_targets = []
+        needed = set()
+        for target in shard.targets:
+            missing = [nm for nm in shard.nm_values
+                       if (target.key, float(nm)) not in self.parked]
+            if missing:
+                missing_targets.append(target)
+                needed.update(missing)
+        if not missing_targets:
+            return None
+        return dataclasses.replace(
+            shard, targets=tuple(missing_targets),
+            nm_values=tuple(nm for nm in shard.nm_values if nm in needed))
+
+    def _assemble(self, result: AnalysisResult) -> AnalysisResult:
+        """Merge parked points with the final segment's result into the
+        full-shard result (byte-identical to an unpreempted run)."""
+        if not self.parked:
+            return result
+        shard = self.shard
+        curves = {}
+        for target in shard.targets:
+            segment = result.curves.get(target.key)
+            measured = {float(point.nm): point
+                        for point in (segment.points if segment is not None
+                                      else [])}
+            curve = ResilienceCurve(group=target.group, layer=target.layer,
+                                    baseline_accuracy=result.baseline_accuracy)
+            for nm in shard.nm_values:
+                point = self.parked.get((target.key, float(nm)),
+                                        measured.get(float(nm)))
+                if point is None:
+                    raise BackendError(
+                        f"preempted shard reassembly lost NM={nm} for "
+                        f"target {target.key!r}: neither parked nor in "
+                        f"the remainder result")
+                curve.points.append(point)
+            curves[target.key] = curve
+        return dataclasses.replace(result, request=shard, curves=curves)
 
 
 class ResilienceService:
@@ -894,323 +1170,50 @@ class ResilienceService:
 
     def _submit_shard(self, shard: AnalysisRequest, group: list[_Job],
                       index: int, *, sharded: bool) -> Future:
-        """One shard: store-dedup, in-flight-dedup, or queued dispatch.
+        """One shard: store-dedup, in-flight-dedup, or a :class:`_ShardRun`.
 
-        Sharded sub-requests register a *proxy* future in the in-flight
-        map before dispatching, so an identical top-level request (or a
-        shard of an overlapping one) joins the live execution, and the
-        shard's result is persisted under its own content-addressed key
-        before any joiner observes completion.
+        A sharded sub-request registers its run's future in the
+        in-flight map before dispatching, so an identical top-level
+        request (or a shard of an overlapping one) joins the live
+        execution, and the shard's result is persisted under its own
+        content-addressed key before any joiner observes completion.
         """
-        if not sharded:
-            return self._dispatch(shard, group, index)
-        job = group[0]
-        key = store_key(shard.fingerprint(), job.model_crc, job.dataset_crc)
-        if any(key == member.key for member in group):
-            # The shard is field-identical to one of this group's own
-            # requests (e.g. a single-target request batched with a
-            # sibling widened the union).  Its key is already in-flight
-            # as that *job's* future — which only resolves after every
-            # shard completes, so joining it here would deadlock the
-            # group on itself.  Dispatch directly; the job-level store
-            # put covers this key at finish time.
-            return self._dispatch(shard, group, index)
-        cached = self.store.get(key) if self.store is not None else None
+        key = None
+        if sharded:
+            job = group[0]
+            key = store_key(shard.fingerprint(), job.model_crc,
+                            job.dataset_crc)
+            if any(key == member.key for member in group):
+                # The shard is field-identical to one of this group's
+                # own requests (e.g. a single-target request batched
+                # with a sibling widened the union).  Its key is already
+                # in-flight as that *job's* future — which only resolves
+                # after every shard completes, so joining it here would
+                # deadlock the group on itself.  Dispatch directly; the
+                # job-level store put covers this key at finish time.
+                key = None
+        cached = (self.store.get(key)
+                  if key is not None and self.store is not None else None)
         if cached is not None:
             with self._state_lock:
                 self.stats.shard_store_hits += 1
             self._mark_group_started(group)
             return _resolved_future(cached)
-        proxy: Future = Future()
-        progress = ShardProgress()
-        with self._state_lock:
-            inflight = self._inflight.get(key)
-            if inflight is None:
-                self._inflight[key] = _InflightEntry(proxy, progress)
-        if inflight is not None:
-            self._mark_group_started(group)
-            return inflight.future
-        progress.mark_started()
-
-        def _resolve_proxy(done: Future) -> None:
-            # Runs as a Future done-callback: anything that escapes here
-            # is merely *logged* by concurrent.futures, leaving the
-            # proxy unresolved and the in-flight entry leaked (the
-            # request would hang in "running" forever).  Every failure —
-            # provenance mismatch, or the store refusing/failing the
-            # write (disk full, the completeness guard on a torn
-            # result) — must therefore flow out through the proxy.
-            progress.mark_done()
-            error = done.exception()
-            result = None
-            if error is None:
-                result = done.result()
-                try:
-                    self._check_provenance(result, job)
-                    if self.store is not None:
-                        # Only ever a *complete* shard result:
-                        # cancellations and failures arrive as
-                        # exceptions and never reach the store.
-                        self._store_put(key, result, shard.options)
-                except BaseException as failure:  # noqa: BLE001 — via proxy
-                    error = failure
+        run = _ShardRun(self, shard, group, index, key=key)
+        if key is not None:
             with self._state_lock:
-                self._inflight.pop(key, None)
-            if error is None:
-                proxy.set_result(result)
-            else:
-                proxy.set_exception(error)
-
-        try:
-            self._dispatch(shard, group,
-                           index).add_done_callback(_resolve_proxy)
-        except BaseException as exc:  # noqa: BLE001 — delivered via the proxy
-            with self._state_lock:
-                self._inflight.pop(key, None)
-            proxy.set_exception(exc)
-        return proxy
-
-    def _dispatch(self, shard: AnalysisRequest, group: list[_Job],
-                  index: int = 0) -> Future:
-        """One shard's fault-tolerant execution (see module docstring).
-
-        Wraps queue dispatch in :func:`~repro.api.resilience.
-        dispatch_with_retries`: a retryable failure (worker crash,
-        watchdog timeout, transient ``OSError``) requeues the shard up
-        to ``options.max_retries`` times with the service's
-        :class:`~repro.api.resilience.RetryPolicy` backoff, announcing
-        each relaunch as a ``shard_retry`` event; exhaustion raises
-        :class:`~repro.api.resilience.ShardPoisoned` with full attempt
-        provenance.  Every attempt outcome also feeds the degradation
-        tracker — once it latches, remaining launches bypass the
-        collapsed backend and measure on the in-process fallback
-        (byte-identical by the stateless noise-stream guarantee).
-        """
+                inflight = self._inflight.get(key)
+                if inflight is None:
+                    self._inflight[key] = _InflightEntry(run.future,
+                                                         run.progress)
+            if inflight is not None:
+                self._mark_group_started(group)
+                return inflight.future
+            run.progress.mark_started()
         with self._state_lock:
             self.stats.shards += 1
-        run = group[0].run
-        token = run.token if run is not None else None
-        options = shard.options
-        describe = f"{shard.fingerprint()[:12]}#{index}"
-
-        def runner(request: AnalysisRequest) -> AnalysisResult:
-            return self._measure(request, cancel=token)
-
-        started = [False]
-
-        def mark_started() -> None:
-            # Exactly one started/progress tick per shard, no matter
-            # how many attempts it takes to actually begin measuring.
-            if not started[0]:
-                started[0] = True
-                self._mark_group_started(group)
-
-        def launch(attempt: int) -> Future:
-            on_start = None if started[0] else mark_started
-            if self.health.degraded:
-                self._announce_degraded(group, run)
-                # Bypass the collapsed backend; results are byte-identical
-                # because every noise stream derives statelessly.
-                return self._degraded_backend.submit(shard, runner,
-                                                     on_start=on_start)
-            return self._launch_preemptible(shard, group, index,
-                                            cancel=token, on_start=on_start)
-
-        def on_retry(attempt: int, error: BaseException,
-                     delay: float) -> None:
-            logger.warning(
-                "shard %s attempt %d/%d failed (%s: %s); retrying "
-                "in %.2fs", describe, attempt, options.max_retries + 1,
-                type(error).__name__, error, delay)
-            self._record_health(error, group, run)
-            for job in group:
-                job.events.emit("shard_retry", {
-                    "shard": index, "attempt": attempt,
-                    "max_retries": options.max_retries,
-                    "error": f"{type(error).__name__}: {error}",
-                    "delay_seconds": delay})
-
-        def on_outcome(error: BaseException | None) -> None:
-            # The terminal attempt's failure never passes through
-            # on_retry; unwrap poisoning so it still counts as the
-            # infrastructure loss it was.
-            if isinstance(error, ShardPoisoned):
-                error = error.__cause__
-            self._record_health(error, group, run)
-
-        return dispatch_with_retries(
-            launch, policy=self.retry_policy,
-            max_retries=options.max_retries, describe=describe,
-            should_abort=token.is_set if token is not None else None,
-            on_retry=on_retry, on_outcome=on_outcome)
-
-    # ------------------------------------------------------------ preemption
-    def _launch_preemptible(self, shard: AnalysisRequest, group: list[_Job],
-                            index: int, *, cancel, on_start) -> Future:
-        """One queue dispatch of ``shard`` that survives fair-scheduler
-        preemption.
-
-        Each segment carries a fresh per-attempt
-        :class:`~repro.api.events.PreemptToken`: in-process measurements
-        observe it at the sweep engine's checkpoints and raise
-        :class:`~repro.core.sweep.SweepPreempted` carrying the
-        measured-so-far curves, which are **parked** here; procpool
-        workers are SIGKILLed by the token's hook and surface
-        :class:`~repro.api.resilience.WorkerPreempted` (their in-flight
-        points are lost — re-measured identically).  Either way a
-        remainder request covering only the still-unmeasured (target,
-        NM) points requeues with a fresh token, and the final
-        :meth:`_assemble` pass reproduces the unpreempted result
-        byte-for-byte (every point derives statelessly per (seed, site,
-        batch)).  Preemption resolves *inside* one retry attempt: the
-        returned future never surfaces a preemption error, so the retry
-        layer, the retry budget and the degradation tracker never see
-        one.
-        """
-        outer: Future = Future()
-        parked: dict = {}            # (target.key, nm) -> ResiliencePoint
-
-        def submit_segment(request: AnalysisRequest) -> None:
-            ptoken = PreemptToken()
-
-            def runner(req: AnalysisRequest,
-                       _token=ptoken) -> AnalysisResult:
-                return self._measure(req, cancel=cancel, preempt=_token)
-
-            try:
-                inner = self.queue.submit(request, runner,
-                                          priority=group[0].priority,
-                                          cancel=cancel, on_start=on_start,
-                                          preempt=ptoken)
-            except BaseException as exc:  # noqa: BLE001 — via the future
-                outer.set_exception(exc)
-                return
-            inner.add_done_callback(
-                lambda done, _req=request, _tok=ptoken:
-                finish(done, _req, _tok))
-
-        def finish(done: Future, request: AnalysisRequest,
-                   ptoken: PreemptToken) -> None:
-            error = done.exception()
-            if error is None:
-                try:
-                    outer.set_result(self._assemble(shard, parked,
-                                                    done.result()))
-                except BaseException as exc:  # noqa: BLE001 — via the future
-                    outer.set_exception(exc)
-                return
-            if isinstance(error, SweepPreempted):
-                fresh = self._park_partial(error.partial, parked)
-            elif isinstance(error, WorkerPreempted):
-                fresh = 0            # the killed worker's points are gone
-            else:
-                outer.set_exception(error)
-                return
-            remainder = self._remainder_request(shard, parked) or shard
-            reason = ptoken.reason or str(error)
-            self._announce_preempted(group, index, fresh, reason)
-            logger.info("shard %s#%d preempted (%s); parked %d fresh "
-                        "point(s), requeueing %d target(s) × %d NM",
-                        shard.fingerprint()[:12], index, reason, fresh,
-                        len(remainder.targets), len(remainder.nm_values))
-            submit_segment(remainder)
-
-        submit_segment(shard)
-        return outer
-
-    @staticmethod
-    def _park_partial(partial: dict, parked: dict) -> int:
-        """Fold a parked segment's measured points into the accumulator;
-        returns how many were new."""
-        fresh = 0
-        for key, curve in (partial or {}).items():
-            for point in curve.points:
-                slot = (key, float(point.nm))
-                if slot not in parked:
-                    parked[slot] = point
-                    fresh += 1
-        return fresh
-
-    @staticmethod
-    def _remainder_request(shard: AnalysisRequest,
-                           parked: dict) -> AnalysisRequest | None:
-        """The sub-request covering exactly the unmeasured points.
-
-        Targets with every NM parked drop out; the NM axis keeps the
-        original order restricted to values some remaining target still
-        needs (a target whose parked coverage overlaps the union simply
-        re-measures a few points — identical values, no harm).  Returns
-        ``None`` when nothing is missing.
-        """
-        missing_targets = []
-        needed = set()
-        for target in shard.targets:
-            missing = [nm for nm in shard.nm_values
-                       if (target.key, float(nm)) not in parked]
-            if missing:
-                missing_targets.append(target)
-                needed.update(missing)
-        if not missing_targets:
-            return None
-        return dataclasses.replace(
-            shard, targets=tuple(missing_targets),
-            nm_values=tuple(nm for nm in shard.nm_values if nm in needed))
-
-    @staticmethod
-    def _assemble(shard: AnalysisRequest, parked: dict,
-                  result: AnalysisResult) -> AnalysisResult:
-        """Merge parked points with the final segment's result into the
-        full-shard result (byte-identical to an unpreempted run)."""
-        if not parked:
-            return result
-        curves = {}
-        for target in shard.targets:
-            segment = result.curves.get(target.key)
-            measured = {float(point.nm): point
-                        for point in (segment.points if segment is not None
-                                      else [])}
-            curve = ResilienceCurve(group=target.group, layer=target.layer,
-                                    baseline_accuracy=result.baseline_accuracy)
-            for nm in shard.nm_values:
-                point = parked.get((target.key, float(nm)),
-                                   measured.get(float(nm)))
-                if point is None:
-                    raise BackendError(
-                        f"preempted shard reassembly lost NM={nm} for "
-                        f"target {target.key!r}: neither parked nor in "
-                        f"the remainder result")
-                curve.points.append(point)
-            curves[target.key] = curve
-        return dataclasses.replace(result, request=shard, curves=curves)
-
-    def _announce_preempted(self, group: list[_Job], index: int,
-                            points_parked: int, reason: str) -> None:
-        with self._state_lock:
-            self.stats.preempted += 1
-        for job in group:
-            job.events.emit("preempted", {"shard": index,
-                                          "points_parked": points_parked,
-                                          "reason": reason})
-
-    # ------------------------------------------------- graceful degradation
-    def _record_health(self, error: BaseException | None,
-                       group: list[_Job], run: _GroupRun | None) -> None:
-        if self.health.record(error):
-            logger.warning(
-                "service degraded: %d consecutive infrastructure "
-                "failures (last: %s: %s); remaining shards fall back to "
-                "in-process execution", self.health.degrade_threshold,
-                type(error).__name__, error)
-            self._announce_degraded(group, run)
-
-    def _announce_degraded(self, group: list[_Job],
-                           run: _GroupRun | None) -> None:
-        """Emit the loud ``degraded`` event, once per shard group."""
-        if run is None or not run.announce_degraded_once():
-            return
-        snapshot = self.health.snapshot()
-        for job in group:
-            job.events.emit("degraded", snapshot)
+        run.start()
+        return run.future
 
     def _store_put(self, key: str, result: AnalysisResult,
                    options) -> None:

@@ -87,11 +87,13 @@ FATAL_EXCEPTIONS = frozenset({
 
 #: Dispatch-path seeds: every function in the backend and resilience
 #: modules (launch, worker mains, retry machinery), plus the service's
-#: measurement/launch/completion path by name.
+#: measurement/launch/completion path by name or ``Class.method``.  The
+#: shard run's transitions run as future, timer and ``on_start``
+#: callbacks; no call site names them, so only a seed reaches them.
 SEED_MODULES = ("api/backends.py", "api/resilience.py")
 SEED_SERVICE_FUNCTIONS = frozenset({
     "_measure", "_launch_group", "_finish_group", "_fail_group",
-    "_store_put", "_check_provenance", "_assemble",
+    "_ShardRun.start", "_ShardRun._done", "_ShardRun._mark_started",
 })
 
 #: Modules whose broad exception handlers the swallow rule audits.
@@ -104,8 +106,9 @@ def _dispatch_seeds(project: Project) -> list[FunctionInfo]:
     for fn in project.functions:
         if fn.module.rel in SEED_MODULES:
             seeds.append(fn)
-        elif fn.module.rel.endswith("api/service.py") \
-                and fn.name in SEED_SERVICE_FUNCTIONS:
+        elif fn.module.rel.endswith("api/service.py") and (
+                fn.name in SEED_SERVICE_FUNCTIONS
+                or fn.qualname.partition(":")[2] in SEED_SERVICE_FUNCTIONS):
             seeds.append(fn)
     return seeds
 

@@ -5,9 +5,9 @@ Five kinds of armor:
 
 * **Retry machinery** — `RetryPolicy` backs off exponentially with a
   deterministic jitter and classifies infrastructure failures;
-  `dispatch_with_retries` drives launch attempts to first success,
-  first non-retryable error, or `ShardPoisoned` with full attempt
-  provenance; `retry_call` re-raises the last underlying error.
+  the service's per-shard run drives attempts to first success, first
+  non-retryable error, cancellation, or `ShardPoisoned` with full
+  attempt provenance; `retry_call` re-raises the last underlying error.
 * **Service resilience** — a chaos-wrapped service recovers scripted
   crashes byte-identically to a fault-free run, emits typed
   `shard_retry` events, poisons a persistently-failing shard instead
@@ -34,7 +34,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -44,7 +43,7 @@ from repro.api import (AnalysisCancelled, AnalysisRequest, AnalysisServer,
                        RemoteService, ResilienceService, ResultStore,
                        RetryPolicy, ShardPoisoned, WorkerCrashed,
                        WorkerSupervisor, WorkerTimeout, make_backend)
-from repro.api.resilience import dispatch_with_retries, retry_call
+from repro.api.resilience import retry_call
 
 #: Retry spacing tight enough for tests; semantics identical to default.
 FAST = RetryPolicy(base_delay=0.01, multiplier=2.0, max_delay=0.05)
@@ -121,87 +120,113 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.5)
 
 
-def _failing_launcher(failures, error=WorkerCrashed, value="ok"):
-    """launch(attempt) failing the first ``failures`` attempts."""
-    calls = []
+def _single(**overrides) -> AnalysisRequest:
+    """One target, one NM: a single cheap shard."""
+    overrides.setdefault("targets", (("softmax", None),))
+    overrides.setdefault("nm_values", (0.5,))
+    return _zoo_request(**overrides)
 
-    def launch(attempt: int) -> Future:
-        calls.append(attempt)
-        future: Future = Future()
-        if len(calls) <= failures:
-            future.set_exception(error(f"scripted failure {len(calls)}"))
-        else:
-            future.set_result(value)
-        return future
 
-    return launch, calls
+def _retries(max_retries: int) -> ExecutionOptions:
+    return ExecutionOptions(batch_size=32, max_retries=max_retries)
 
 
 class TestDispatchWithRetries:
-    def test_first_attempt_success(self):
-        launch, calls = _failing_launcher(failures=0)
-        outer = dispatch_with_retries(launch, policy=FAST, max_retries=2,
-                                      describe="s")
-        assert outer.result(timeout=10) == "ok"
-        assert calls == [0]
+    """The service's shard lifecycle (``_ShardRun``) on ``chaos:inline``:
+    scripted (shard, attempt) worker crashes stand in for real worker
+    losses, and the events and health counters show each transition."""
 
-    def test_retry_then_success(self):
-        launch, calls = _failing_launcher(failures=2)
-        retries = []
-        outcomes = []
-        outer = dispatch_with_retries(
-            launch, policy=FAST, max_retries=2, describe="s",
-            on_retry=lambda a, e, d: retries.append((a, str(e), d)),
-            on_outcome=outcomes.append)
-        assert outer.result(timeout=10) == "ok"
-        assert calls == [0, 1, 2]
-        assert [attempt for attempt, _, _ in retries] == [1, 2]
-        assert all(delay >= 0 for _, _, delay in retries)
-        assert outcomes == [None]          # exactly once, on resolution
+    def test_first_attempt_success(self, service):
+        # A fault scripted for attempt 1 fires only if a retry happens.
+        svc = service(use_store=False, backend="chaos:inline",
+                      retry_policy=FAST, fault_plan=FaultPlan(faults=(
+                          Fault(kind="crash-before", shard=0, attempt=1),)))
+        handle = svc.submit(_single())
+        assert handle.result(timeout=120).curves
+        kinds = [event.kind for event in handle.events()]
+        assert kinds.count("started") == 1 and "shard_retry" not in kinds
+        assert svc.backend.injected == 0
+        assert svc.stats.shards == 1
 
-    def test_exhaustion_poisons_with_provenance(self):
-        launch, calls = _failing_launcher(failures=99)
-        outcomes = []
-        outer = dispatch_with_retries(launch, policy=FAST, max_retries=2,
-                                      describe="shard-x",
-                                      on_outcome=outcomes.append)
-        with pytest.raises(ShardPoisoned, match="shard-x") as excinfo:
-            outer.result(timeout=10)
+    def test_retry_then_success(self, service):
+        svc = service(use_store=False, backend="chaos:inline",
+                      retry_policy=FAST,
+                      fault_plan=FaultPlan.crash_every_shard(times=2))
+        handle = svc.submit(_single(options=_retries(2)))
+        assert handle.result(timeout=120).curves
+        assert svc.backend.injected == 2
+        retries = [event.payload for event in handle.events()
+                   if event.kind == "shard_retry"]
+        assert [payload["attempt"] for payload in retries] == [1, 2]
+        assert all(payload["max_retries"] == 2
+                   and payload["delay_seconds"] >= 0
+                   and "WorkerCrashed" in payload["error"]
+                   for payload in retries)
+        kinds = [event.kind for event in handle.events()]
+        assert kinds.count("started") == 1 and kinds[-1] == "done"
+        # Health is fed once per retried failure, then the success
+        # outcome resets the streak.
+        health = svc.health.snapshot()
+        assert health["infrastructure_failures"] == 2
+        assert health["consecutive_failures"] == 0
+
+    def test_exhaustion_poisons_with_provenance(self, service):
+        svc = service(use_store=False, backend="chaos:inline",
+                      retry_policy=FAST, fault_plan=FaultPlan(faults=(
+                          Fault(kind="crash-before", shard=0,
+                                attempt=None),)))
+        request = _single(options=_retries(2))
+        handle = svc.submit(request)
+        with pytest.raises(ShardPoisoned,
+                           match=request.fingerprint()[:12]) as excinfo:
+            handle.result(timeout=120)
         poisoned = excinfo.value
-        assert calls == [0, 1, 2]          # max_retries + 1 attempts
+        assert svc.backend.injected == 3       # max_retries + 1 attempts
         assert len(poisoned.attempts) == 3
         assert all(isinstance(record, AttemptRecord)
                    for record in poisoned.attempts)
         assert [record.attempt for record in poisoned.attempts] == [0, 1, 2]
         assert poisoned.attempts[-1].error_type == "WorkerCrashed"
         assert isinstance(poisoned.__cause__, WorkerCrashed)
-        payload = poisoned.to_payload()
-        assert len(payload["attempts"]) == 3
-        assert outcomes == [poisoned] and isinstance(
-            outcomes[0], ShardPoisoned)
+        assert len(poisoned.to_payload()["attempts"]) == 3
+        # Two retried failures plus the terminal one, unwrapped from
+        # ShardPoisoned: all three count as infrastructure losses.
+        assert svc.health.snapshot()["infrastructure_failures"] == 3
+        assert handle.status() == "error"
 
-    def test_non_retryable_propagates_immediately(self):
-        launch, calls = _failing_launcher(failures=99, error=ValueError)
-        outer = dispatch_with_retries(launch, policy=FAST, max_retries=5,
-                                      describe="s")
+    def test_non_retryable_propagates_immediately(self, service):
+        svc = service(use_store=False, retry_policy=FAST)
+        calls = []
+
+        def broken(request, cancel=None, preempt=None):
+            calls.append(request)
+            raise ValueError("scripted failure 1")
+
+        svc._measure = broken
+        handle = svc.submit(_single(options=_retries(5)))
         with pytest.raises(ValueError, match="scripted failure 1"):
-            outer.result(timeout=10)
-        assert calls == [0]                # no retry burned on it
+            handle.result(timeout=10)
+        assert len(calls) == 1                 # no retry burned on it
+        assert "shard_retry" not in [e.kind for e in handle.events()]
+        assert svc.health.snapshot()["infrastructure_failures"] == 0
 
-    def test_abort_between_attempts_cancels(self):
-        aborted = threading.Event()
+    def test_abort_between_attempts_cancels(self, service):
+        svc = service(use_store=False, retry_policy=FAST)
+        calls = []
 
-        def launch(attempt: int) -> Future:
-            aborted.set()                  # abort once the retry fires
-            future: Future = Future()
-            future.set_exception(WorkerCrashed("die"))
-            return future
+        def crash_and_cancel(request, cancel=None, preempt=None):
+            calls.append(request)
+            cancel.set()                       # cancelled before the retry
+            raise WorkerCrashed("die")
 
-        outer = dispatch_with_retries(launch, policy=FAST, max_retries=5,
-                                      describe="s",
-                                      should_abort=aborted.is_set)
+        svc._measure = crash_and_cancel
+        handle = svc.submit(_single(options=_retries(5)))
         with pytest.raises(AnalysisCancelled, match="between retry"):
-            outer.result(timeout=10)
+            handle.result(timeout=10)
+        assert len(calls) == 1
+        kinds = [event.kind for event in handle.events()]
+        assert kinds.count("shard_retry") == 1
+        assert kinds[-1] == "cancelled"
 
     def test_retry_call_reraises_last_error_unwrapped(self):
         calls = []
@@ -410,6 +435,28 @@ class TestServiceRetries:
         # >= because both shards' puts may burn their budgets in
         # parallel before the first exhaustion surfaces.
         assert store.failed_puts >= 2                 # 1 + max_retries
+
+    def test_sharded_store_put_failure_releases_inflight_key(self, service,
+                                                           tmp_path):
+        """A sharded shard's store put fails after a complete
+        measurement: the error reaches the caller through the shard's
+        future, and neither its in-flight key nor the job's leaks."""
+        store = FaultyStore(ResultStore(str(tmp_path / "dead")),
+                            put_failures=99)
+        svc = service(store=store, backend="threads", max_parallel=2,
+                      retry_policy=FAST)
+        request = _zoo_request(seed=9, options=_retries(0))
+        handle = svc.submit(request)
+        with pytest.raises(OSError, match="injected store-write"):
+            handle.result(timeout=120)
+        assert svc._inflight == {}
+        # A lone resubmission of one shard measures afresh instead of
+        # joining a dead future.
+        shard = _zoo_request(seed=9, targets=(("softmax", None),),
+                             options=_retries(0))
+        with pytest.raises(OSError, match="injected store-write"):
+            svc.submit(shard).result(timeout=120)
+        assert svc.stats.deduplicated == 0
 
     def test_worker_restarts_in_queue_snapshot(self, service):
         svc = service(cache_dir=None, use_store=False, backend="threads")

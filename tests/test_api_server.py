@@ -9,6 +9,7 @@ byte-identical to the in-process path.
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
 
 import pytest
@@ -38,6 +39,36 @@ def remote(server):
 
 def _quick_request() -> AnalysisRequest:
     return fig9.request_for("DeepCaps/CIFAR-10", QUICK)
+
+
+class TestCloseLatency:
+    """A close waits out one serving poll, not ``socketserver``'s 0.5 s."""
+
+    @staticmethod
+    def _servers(kind: str):
+        from repro.api.cluster import (ClusterCoordinator, CoordinatorServer,
+                                       WorkerAgent)
+        if kind == "analysis":
+            service = ResilienceService(use_store=False)
+            return AnalysisServer(service).start(), service.close
+        if kind == "coordinator":
+            coordinator = ClusterCoordinator(["http://127.0.0.1:9"])
+            return CoordinatorServer(coordinator).start(), lambda: None
+        return WorkerAgent().start(), lambda: None
+
+    @pytest.mark.parametrize("kind", ["analysis", "coordinator", "worker"])
+    def test_three_consecutive_closes_are_quick(self, kind):
+        for _ in range(3):
+            server, release = self._servers(kind)
+            started = time.perf_counter()
+            if kind == "worker":
+                server.close()
+            else:
+                server.shutdown()
+            elapsed = time.perf_counter() - started
+            release()
+            assert elapsed < 0.25, f"{kind} close took {elapsed:.2f}s"
+            server.shutdown()                  # idempotent
 
 
 class TestEndpoints:

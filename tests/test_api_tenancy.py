@@ -151,7 +151,7 @@ class _ManualBackend(ExecutionBackend):
     def __init__(self):
         self.pending: list[tuple] = []
 
-    def submit(self, request, runner, *, on_start=None):
+    def submit(self, request, runner, *, on_start=None, preempt=None):
         future: Future = Future()
         self.pending.append((request, runner, future))
         return future
@@ -309,7 +309,7 @@ class _InlineBackend(ExecutionBackend):
 
     parallel = 1
 
-    def submit(self, request, runner, *, on_start=None):
+    def submit(self, request, runner, *, on_start=None, preempt=None):
         future: Future = Future()
         try:
             future.set_result(runner(request))
@@ -627,6 +627,67 @@ class TestPreemption:
         assert _accuracies(result.curves) == _accuracies(golden.curves)
         for curve in result.curves.values():
             assert len(curve.points) == len(request.nm_values)
+
+    @staticmethod
+    def _record_measured(svc) -> list:
+        """Wrap ``svc._measure`` to record every request it measures."""
+        original = svc._measure
+        measured = []
+
+        def measure(request, cancel=None, preempt=None):
+            measured.append(request)
+            return original(request, cancel=cancel, preempt=preempt)
+
+        svc._measure = measure
+        return measured
+
+    def test_crash_after_preempted_segment_relaunches_full_shard(
+            self, service):
+        """The remainder segment of a parked shard crashes: the retry
+        relaunches the *full* shard with an empty park, so its chaos
+        (shard, attempt) coordinates are the first attempt's plus one."""
+        request = _request("heavy", seed=44,
+                           targets=(("softmax", None),
+                                    ("mac_outputs", None)))
+        golden = service(use_store=False).run(request)
+        # Chaos shard 1 is the first remainder fingerprint it sees.
+        chaotic = service(
+            use_store=False, backend="chaos:threads", max_parallel=1,
+            retry_policy=FAST, fault_plan=FaultPlan(faults=(
+                Fault(kind="crash-before", shard=1, attempt=0),)))
+        state = _force_park_at_checkpoint(chaotic, checkpoint=2)
+        measured = self._record_measured(chaotic)
+        handle = chaotic.submit(request)
+        result = handle.result(timeout=300)
+        assert state["fired"] and chaotic.backend.injected == 1
+        # The parked first attempt, then the retry: both the full shard
+        # (the crashed remainder never reached a measurement).
+        assert [r.fingerprint() for r in measured] == \
+            [request.fingerprint()] * 2
+        kinds = [event.kind for event in handle.events()]
+        assert kinds.count("preempted") == 1
+        assert kinds.count("shard_retry") == 1
+        assert kinds.count("started") == 1 and "progress" not in kinds
+        assert _accuracies(result.curves) == _accuracies(golden.curves)
+
+    def test_preemption_leaves_retry_budget_unspent(self, service):
+        """With ``max_retries=0`` a parked shard still completes: a
+        preemption is not an attempt failure, and never feeds health."""
+        options = ExecutionOptions(batch_size=32, client_id="heavy",
+                                   max_retries=0)
+        request = _request(seed=45, options=options,
+                           targets=(("softmax", None),
+                                    ("mac_outputs", None)))
+        golden = service(use_store=False).run(request)
+        svc = service(use_store=False, backend="threads", max_parallel=1,
+                      retry_policy=FAST)
+        state = _force_park_at_checkpoint(svc, checkpoint=2)
+        handle = svc.submit(request)
+        result = handle.result(timeout=300)
+        assert state["fired"] and svc.stats.preempted == 1
+        assert "shard_retry" not in [event.kind for event in handle.events()]
+        assert svc.health.snapshot()["infrastructure_failures"] == 0
+        assert _accuracies(result.curves) == _accuracies(golden.curves)
 
 
 # ========================================================== CLI & HTTP wiring

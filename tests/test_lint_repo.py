@@ -158,6 +158,18 @@ class TestGateIsNotVacuous:
                    for finding in report.findings), "\n".join(
             finding.format_text() for finding in report.findings)
 
+    def test_shard_run_transitions_are_in_the_exception_audit(self):
+        """The shard run's transitions run as future, timer and
+        ``on_start`` callbacks that no call site names; the
+        exc-contract seeds must still reach every one of them."""
+        from repro.devtools.exc_contract import _dispatch_closure
+        project = load_project([SRC])
+        methods = {fn.qualname for fn in project.functions
+                   if fn.qualname.startswith("api.service:_ShardRun.")}
+        reached = {fn.qualname for fn in _dispatch_closure(project)}
+        assert len(methods) >= 5
+        assert methods <= reached, sorted(methods - reached)
+
     def test_analyzers_inventory_the_real_tree(self):
         """The lock analyzer actually sees the service stack's locks
         (an empty inventory would make the clean run meaningless)."""
@@ -215,17 +227,52 @@ class TestCliGate:
         assert log["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
         assert log["runs"][0]["results"] == []
 
-    def test_repro_lint_changed_scopes_the_report(self):
-        """``--changed`` against this repo exits clean (full-tree
-        analysis, report filtered to git-changed files)."""
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", str(SRC),
-             "--changed"],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-            timeout=120)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.startswith("OK: 0 findings")
+    @staticmethod
+    def _lint(args: list[str], cwd: Path, ceiling: Path):
+        # The ceiling stops git from finding a repository above tmp_path.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   GIT_CEILING_DIRECTORIES=str(ceiling))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "lint", *args,
+             "--no-baseline"],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+    def test_repro_lint_changed_scopes_the_report(self, tmp_path):
+        """``--changed`` analyses the whole package but reports only
+        findings in files changed since the last commit."""
+        repo = tmp_path / "repo"
+        package = repo / "pkg" / "core"
+        package.mkdir(parents=True)
+        unseeded = "import numpy as np\n\ndef draw(n):\n" \
+                   "    return np.random.normal(size=n)\n"
+        (package / "committed.py").write_text(unseeded)
+        (package / "edited.py").write_text("def draw(n):\n    return n\n")
+
+        def git(*argv: str) -> None:
+            subprocess.run(["git", "-c", "user.name=lint",
+                            "-c", "user.email=lint@example.invalid",
+                            *argv], cwd=repo, check=True,
+                           capture_output=True, timeout=30)
+
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        (package / "edited.py").write_text(unseeded)
+        proc = self._lint([str(repo / "pkg"), "--changed"], repo, tmp_path)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "core/edited.py" in proc.stdout
+        assert "core/committed.py" not in proc.stdout
+        full = self._lint([str(repo / "pkg")], repo, tmp_path)
+        assert "core/committed.py" in full.stdout   # the finding is real
+
+    def test_repro_lint_changed_outside_a_repository_exits_2(self,
+                                                             tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "mod.py").write_text("VALUE = 1\n")
+        proc = self._lint([str(package), "--changed"], tmp_path, tmp_path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "needs a git repository" in proc.stderr
 
 
 class TestRuntimeWitnessOverSweep:
