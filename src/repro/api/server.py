@@ -117,6 +117,7 @@ class _Serving:
         server.daemon_threads = True       # close never joins handlers
         self._server = server
         self._thread: threading.Thread | None = None
+        self._serving = False    # a serve loop was started
         self._closed = False
 
     @property
@@ -126,6 +127,7 @@ class _Serving:
 
     def start(self):
         """Serve on a background thread; returns self (for tests/embedding)."""
+        self._serving = True
         self._thread = threading.Thread(target=self.serve_forever,
                                         name=self._thread_name, daemon=True)
         self._thread.start()
@@ -133,15 +135,19 @@ class _Serving:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
+        self._serving = True
         self._server.serve_forever(poll_interval=POLL_INTERVAL)
 
     def shutdown(self) -> None:
         """Stop serving (idempotent — drain threads and ``finally``
-        blocks may both call it)."""
+        blocks may both call it).  ``socketserver``'s ``shutdown`` waits
+        for a serve loop to acknowledge, so it is called only on a server
+        that was started; the socket is closed either way."""
         if self._closed:
             return
         self._closed = True
-        self._server.shutdown()
+        if self._serving:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

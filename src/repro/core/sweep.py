@@ -10,15 +10,17 @@ finishes that thought at the execution layer with an observe/replay model:
 1. **Prefix-activation caching** — one clean forward per test batch runs
    the model through its :meth:`~repro.nn.Module.forward_stages`
    decomposition with a :class:`~repro.nn.hooks.SiteRecorder` observing
-   every emitted site, caching each non-affine stage's output state and
-   attributing each injection site to the stage that emits it.  A sweep
-   target then *replays* from the clean state just before its first
-   injected site instead of recomputing the clean prefix.  An affine
-   stage's output (a conv pre-activation or a vote tensor) is not kept:
-   it is recomputed by one clean application of the stage to its stored
-   input, once per (target, batch) — per (point, batch) on ``cached`` —
-   which keeps the trace at roughly a quarter (CapsNet) to a half
-   (DeepCaps) of the full per-stage bytes.
+   every emitted site, attributing each injection site to the stage that
+   emits it and keeping the clean predictions, but no stage output.  A
+   sweep target then *replays* from the clean state just before its
+   first injected site instead of recomputing the clean prefix.  Before
+   its first replay, the engine fills that state in: the output of the
+   last non-affine stage at or below it, computed clean once per batch
+   from the nearest stored state and kept with the trace, so the trace
+   holds only the states some target resumes from.  An affine stage's
+   output (a conv pre-activation or a vote tensor) is never kept: it is
+   recomputed by one clean application of the stage to its stored
+   input, once per (target, batch) — per (point, batch) on ``cached``.
 2. **Sweep-axis vectorisation** — the models are batch-agnostic, so all
    noisy NM values of a target are stacked along the batch axis and one
    replayed forward covers the entire NM curve.  The
@@ -301,15 +303,22 @@ class _BatchTrace:
 
     inputs: np.ndarray
     labels: np.ndarray
-    #: Per-stage output state (Tensor or tuple of Tensors); ``None`` for
-    #: an affine stage, whose output is recomputed on demand.
+    #: Per-stage clean output state (Tensor or tuple of Tensors).  All
+    #: ``None`` after observe; a replay fills the non-affine state it
+    #: resumes from (:meth:`SweepEngine._fill`).  An affine stage's entry
+    #: stays ``None``: its output is recomputed on demand.
     states: list
     predictions: np.ndarray
 
 
 @dataclass
 class _CleanTrace:
-    """Clean-pass record for the whole dataset."""
+    """Clean-pass record for the whole dataset.
+
+    Observe stores no stage output; filled states accumulate here for as
+    long as the engine keeps the trace, and go with it on a fingerprint
+    change or :meth:`SweepEngine.invalidate`.
+    """
 
     stage_names: list[str]
     site_stage: dict[InjectionSite, int]
@@ -326,6 +335,34 @@ def _state_nbytes(state) -> int:
     """Bytes of a stage state (each tuple part counted on its own)."""
     parts = state if isinstance(state, tuple) else (state,)
     return sum(part.data.nbytes for part in parts)
+
+
+def _share_parts(state, stored):
+    """``state`` with every part bit-equal to a part of a ``stored`` state
+    replaced by that stored Tensor.
+
+    Stage states share parts: a DeepCaps cell threads its skip input
+    through several tuple states, and observe stores that one array once.
+    Filled states computed along different paths hold equal copies
+    instead, so they are folded back onto one array here.
+    """
+    parts = state if isinstance(state, tuple) else (state,)
+    candidates = [part for other in stored if other is not None
+                  for part in (other if isinstance(other, tuple)
+                               else (other,))]
+    shared = tuple(next((other for other in candidates
+                         if other is part
+                         or _same_bits(other.data, part.data)), part)
+                   for part in parts)
+    return shared if isinstance(state, tuple) else shared[0]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise array equality (``-0.0`` and ``0.0`` differ)."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(bits), b.view(bits)))
 
 
 def _tile_state(state, k: int):
@@ -533,10 +570,10 @@ class SweepEngine:
                 for entry in stages]
 
     def _clean_trace(self) -> _CleanTrace:
-        """One clean forward over the dataset, caching the non-affine
-        stages' output states and the site → stage attribution (observe
-        half of observe/replay).  Affine stage outputs are left out (see
-        :meth:`_clean_state`).
+        """One clean forward over the dataset, caching the inputs, labels,
+        clean predictions and the site → stage attribution (observe half
+        of observe/replay).  No stage output is stored: a replay fills the
+        state it resumes from (see :meth:`_fill`).
 
         The trace is fingerprinted against the model's parameters and
         buffers and rebuilt automatically when they changed since the
@@ -557,11 +594,9 @@ class SweepEngine:
             for images, labels in self.dataset.batches(self.batch_size):
                 self._checkpoint()
                 state = Tensor(images)
-                states = []
-                for index, (_, stage, meta) in enumerate(stages):
+                for index, (_, stage, _meta) in enumerate(stages):
                     recorder.marker = index
                     state = stage(state)
-                    states.append(None if meta.get("affine") else state)
                     if not batches:  # terminal detection on the first batch
                         stage_bytes.append(_state_nbytes(state))
                         for site, marker in recorder.site_markers.items():
@@ -575,8 +610,12 @@ class SweepEngine:
                                     and recorder.values[site] is state.data)
                 predictions = np.argmax(capsule_lengths(state).data, axis=1)
                 correct += int(np.sum(predictions == labels))
-                batches.append(_BatchTrace(images, labels, states, predictions))
-        recorder.values.clear()
+                batches.append(_BatchTrace(images, labels,
+                                           [None] * len(stages), predictions))
+                # Values serve terminal detection only: drop the first
+                # batch's and record none for the rest.
+                recorder.record_values = False
+                recorder.values.clear()
         self._trace = _CleanTrace(
             stage_names=[name for name, _, _ in stages],
             site_stage={site: marker
@@ -589,12 +628,45 @@ class SweepEngine:
             fingerprint=fingerprint)
         return self._trace
 
+    def _fill(self, trace: _CleanTrace, index: int) -> None:
+        """Store, in every batch, the clean output of the last non-affine
+        stage at or below ``index`` — the state a replay that reads stage
+        ``index`` resumes from.
+
+        Runs before the replay installs its noise registry: the state is
+        computed clean, under ``no_grad`` with no registry active, from
+        the nearest stored lower state (or the inputs), with the same ops
+        on the same inputs as observe, so it is bit-identical to the
+        observed output.  Only the requested state is kept, and parts it
+        shares with stored states are stored once (:func:`_share_parts`).
+        A stored state is never recomputed.
+        """
+        stages = self._stages()
+        while index >= 0 and stages[index][2].get("affine"):
+            index -= 1
+        if index < 0:
+            return
+        self.model.eval()
+        with no_grad():
+            for batch in trace.batches:
+                self._checkpoint()
+                if batch.states[index] is not None:
+                    continue
+                start = max((lower for lower in range(index)
+                             if batch.states[lower] is not None), default=-1)
+                state = (Tensor(batch.inputs) if start < 0
+                         else batch.states[start])
+                state = self._replay(stages[:index + 1], start + 1, state)
+                batch.states[index] = _share_parts(state, batch.states)
+
     # ---------------------------------------------------------------- replays
     def _clean_state(self, trace: _CleanTrace, batch: _BatchTrace,
                      index: int, stages, matcher):
         """The clean output of stage ``index`` (``-1``: the batch inputs).
 
-        An affine stage's output is not stored; it is recomputed by one
+        A non-affine stage's output is read from the trace, where
+        :meth:`_fill` stored it before the replay began.  An affine
+        stage's output is not stored; it is recomputed by one
         clean application of the stage to its input.  The recompute runs
         under the replay's noise registry, which is sound only because no
         site the target matches fires in that stage: a dropped stage
@@ -658,6 +730,7 @@ class SweepEngine:
                 # so preemption can park between them with the measured
                 # prefix intact (the vectorized branch above is one fused
                 # replay and parks only at target boundaries).
+                self._fill(trace, resume - 1)
                 measured = []
                 for _, spec in live:
                     if self._preempt_pending():
@@ -755,6 +828,7 @@ class SweepEngine:
         sharing a site draw the same base noise there (cross-target CRN,
         which pairs the curves Steps 3/5 compare).
         """
+        self._fill(trace, resume - 1)
         k = len(specs)
         injector = StackedNoiseInjector(specs, seed=specs[0].seed,
                                         uniform_sites={first_site})
@@ -833,6 +907,7 @@ class SweepEngine:
         equivalent up to float reordering when vote deltas are present.
         The replay of the post-routing suffix is unchanged.
         """
+        self._fill(trace, resume - 1)
         k = len(specs)
         injector = StackedNoiseInjector(specs, seed=specs[0].seed,
                                         uniform_sites={first_site})
@@ -923,6 +998,7 @@ class SweepEngine:
         materialised: the routing pass then also reads the vote tensor
         once for the whole curve.
         """
+        self._fill(trace, resume)
         k = len(specs)
         injector = StackedNoiseInjector(specs, seed=specs[0].seed)
         registry = HookRegistry()

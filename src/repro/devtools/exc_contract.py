@@ -90,10 +90,14 @@ FATAL_EXCEPTIONS = frozenset({
 #: measurement/launch/completion path by name or ``Class.method``.  The
 #: shard run's transitions run as future, timer and ``on_start``
 #: callbacks; no call site names them, so only a seed reaches them.
+#: ``_GroupRun.announce_degraded_once`` and ``ShardProgress.mark_started``
+#: are called through attributes (``self.run``, ``run.progress``) whose
+#: type the project index cannot infer, so they are seeded too.
 SEED_MODULES = ("api/backends.py", "api/resilience.py")
 SEED_SERVICE_FUNCTIONS = frozenset({
     "_measure", "_launch_group", "_finish_group", "_fail_group",
     "_ShardRun.start", "_ShardRun._done", "_ShardRun._mark_started",
+    "_GroupRun.announce_degraded_once", "ShardProgress.mark_started",
 })
 
 #: Modules whose broad exception handlers the swallow rule audits.

@@ -9,6 +9,7 @@ byte-identical to the in-process path.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.request
 
@@ -45,16 +46,18 @@ class TestCloseLatency:
     """A close waits out one serving poll, not ``socketserver``'s 0.5 s."""
 
     @staticmethod
-    def _servers(kind: str):
+    def _servers(kind: str, *, start: bool = True):
         from repro.api.cluster import (ClusterCoordinator, CoordinatorServer,
                                        WorkerAgent)
         if kind == "analysis":
             service = ResilienceService(use_store=False)
-            return AnalysisServer(service).start(), service.close
-        if kind == "coordinator":
+            server, release = AnalysisServer(service), service.close
+        elif kind == "coordinator":
             coordinator = ClusterCoordinator(["http://127.0.0.1:9"])
-            return CoordinatorServer(coordinator).start(), lambda: None
-        return WorkerAgent().start(), lambda: None
+            server, release = CoordinatorServer(coordinator), lambda: None
+        else:
+            server, release = WorkerAgent(), lambda: None
+        return (server.start() if start else server), release
 
     @pytest.mark.parametrize("kind", ["analysis", "coordinator", "worker"])
     def test_three_consecutive_closes_are_quick(self, kind):
@@ -69,6 +72,19 @@ class TestCloseLatency:
             release()
             assert elapsed < 0.25, f"{kind} close took {elapsed:.2f}s"
             server.shutdown()                  # idempotent
+
+    @pytest.mark.parametrize("kind", ["analysis", "coordinator", "worker"])
+    def test_close_of_a_never_started_server_returns(self, kind):
+        """``socketserver``'s ``shutdown`` waits for a serve loop; a
+        server that never served must still close (and free its port)."""
+        server, release = self._servers(kind, start=False)
+        close = server.close if kind == "worker" else server.shutdown
+        closer = threading.Thread(target=close, daemon=True)
+        closer.start()
+        closer.join(timeout=1.0)
+        release()
+        assert not closer.is_alive(), f"{kind} close blocked"
+        assert server._server.socket.fileno() == -1   # socket closed
 
 
 class TestEndpoints:

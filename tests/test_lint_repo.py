@@ -170,6 +170,17 @@ class TestGateIsNotVacuous:
         assert len(methods) >= 5
         assert methods <= reached, sorted(methods - reached)
 
+    def test_attribute_called_service_methods_are_in_the_exception_audit(
+            self):
+        """``run.announce_degraded_once()`` and
+        ``run.progress.mark_started()`` go through attributes the project
+        index cannot type, so only their seeds put them in the closure."""
+        from repro.devtools.exc_contract import _dispatch_closure
+        reached = {fn.qualname
+                   for fn in _dispatch_closure(load_project([SRC]))}
+        assert {"api.service:_GroupRun.announce_degraded_once",
+                "api.service:ShardProgress.mark_started"} <= reached
+
     def test_analyzers_inventory_the_real_tree(self):
         """The lock analyzer actually sees the service stack's locks
         (an empty inventory would make the clean run meaningless)."""

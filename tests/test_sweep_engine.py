@@ -8,8 +8,9 @@ The engine's contract (ISSUE 1 / repro.core.sweep):
   them statistically (same Eq. 3-4 noise model, different draws);
 * results are independent of chunking and worker partitioning;
 * ``evaluate_accuracy`` under an empty registry is unchanged;
-* the clean trace stores no affine stage output, every recomputed one is
-  bit-equal to the clean forward's, and noise draws live one batch.
+* observe stores no stage output; a replay fills the non-affine state it
+  resumes from, clean and once, and every filled or recomputed state is
+  bit-equal to the clean forward's; noise draws live one batch.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import pytest
 from repro.core import (SweepEngine, SweepTarget, group_wise_analysis,
                         layer_wise_analysis)
 from repro.core.noise import StackedNoiseInjector
-from repro.core.sweep import _state_nbytes
 from repro.nn import hooks
-from repro.nn.hooks import (GROUP_ACTIVATIONS, GROUP_MAC, GROUP_SOFTMAX,
-                            HookRegistry, INJECTABLE_GROUPS, use_registry)
+from repro.nn.hooks import (GROUP_ACTIVATIONS, GROUP_LOGITS, GROUP_MAC,
+                            GROUP_SOFTMAX, HookRegistry, INJECTABLE_GROUPS,
+                            use_registry)
 from repro.tensor import Tensor, no_grad
 from repro.train import evaluate_accuracy
 
@@ -269,30 +270,157 @@ def _bitwise_equal(a, b) -> bool:
             and a.data.tobytes() == b.data.tobytes())
 
 
-class TestTraceMemory:
-    """The clean trace keeps only non-affine stage outputs; the rest are
-    recomputed bit-exactly, and each injector holds one batch of draws."""
+def _stored_nbytes(trace) -> int:
+    """Bytes of the trace's stored stage outputs, each array counted once
+    (DeepCaps states share their skip input)."""
+    arrays = {id(part.data): part.data.nbytes
+              for batch in trace.batches for state in batch.states
+              if state is not None
+              for part in (state if isinstance(state, tuple) else (state,))}
+    return sum(arrays.values())
 
-    @pytest.mark.parametrize("setup,bound", [("capsnet_setup", 0.30),
-                                             ("deepcaps_setup", 0.50)])
-    def test_trace_stores_no_affine_output(self, setup, bound, request):
+
+def _observed_nbytes(engine, trace) -> int:
+    """Bytes a trace storing every non-affine stage output would hold."""
+    arrays = {}
+    for outputs in _clean_forward(engine, trace):
+        for (_, _, meta), state in zip(engine._stages(), outputs):
+            if not meta.get("affine"):
+                parts = state if isinstance(state, tuple) else (state,)
+                arrays.update((id(part.data), part) for part in parts)
+    return sum(part.data.nbytes for part in arrays.values())
+
+
+def _watch_fills(engine, monkeypatch):
+    """Record each :meth:`SweepEngine._fill` call as a list of the stage
+    calls it made, each ``(stage name, registries active at the call)``."""
+    fills, filling = [], []
+    stages, fill = engine._stages, engine._fill
+
+    def counted(name, fn):
+        def run(state):
+            if filling:
+                fills[-1].append((name, hooks.active_registries()))
+            return fn(state)
+        return run
+
+    def watched_fill(trace, index):
+        fills.append([])
+        filling.append(index)
+        try:
+            return fill(trace, index)
+        finally:
+            filling.pop()
+
+    monkeypatch.setattr(engine, "_stages", lambda: [
+        (name, counted(name, fn), meta) for name, fn, meta in stages()])
+    monkeypatch.setattr(engine, "_fill", watched_fill)
+    return fills
+
+
+class TestTraceMemory:
+    """Observe stores no stage output; each replay fills the non-affine
+    state it resumes from, bit-exactly and once, and the rest are
+    recomputed bit-exactly; each injector holds one batch of draws."""
+
+    @pytest.mark.parametrize("setup", ["capsnet_setup", "deepcaps_setup"])
+    def test_observe_stores_no_stage_output(self, setup, request):
         model, test_set = request.getfixturevalue(setup)
         engine = SweepEngine(model, test_set, batch_size=40)
         trace = engine._clean_trace()
         assert len(trace.batches) >= 2
+        assert all(state is None for batch in trace.batches
+                   for state in batch.states)
+        # Chunk sizing still sees every stage's bytes.
+        assert all(size > 0 for size in trace.stage_bytes)
+
+    def test_routing_sweep_stores_only_primary_caps(self, capsnet_setup):
+        model, test_set = capsnet_setup
+        engine = SweepEngine(model, test_set, batch_size=40)
+        engine.sweep([(GROUP_SOFTMAX, None), (GROUP_LOGITS, None),
+                      (GROUP_MAC, "ClassCaps"),
+                      (GROUP_ACTIVATIONS, "ClassCaps")], NM_VALUES, seed=3)
+        trace = engine._trace
+        for batch in trace.batches:
+            stored = [name for name, state in zip(trace.stage_names,
+                                                   batch.states)
+                      if state is not None]
+            assert stored == ["PrimaryCaps.post"]
+
+    @pytest.mark.parametrize("setup", ["capsnet_setup", "deepcaps_setup"])
+    def test_filled_states_match_clean_forward(self, setup, request):
+        """Filled top-down first (each fill from the inputs, so shared
+        skip inputs are computed twice), every stored state is the clean
+        forward's, only non-affine stages are stored, and shared parts
+        are stored once: never more bytes than storing every non-affine
+        output at observe."""
+        model, test_set = request.getfixturevalue(setup)
+        engine = SweepEngine(model, test_set, batch_size=40)
+        targets = [(GROUP_MAC, layer) for layer in model.layer_names]
+        engine.sweep(targets[::-1] + _targets_for(model), NM_VALUES, seed=3)
+        trace = engine._trace
         stages = engine._stages()
-        full = stored = 0
+        filled = set()
         for batch, outputs in zip(trace.batches,
                                   _clean_forward(engine, trace)):
             for (name, _, meta), kept, output in zip(stages, batch.states,
                                                      outputs):
-                full += _state_nbytes(output)
-                if meta.get("affine"):
-                    assert kept is None, name
-                else:
+                if kept is not None:
+                    assert not meta.get("affine"), name
                     assert _bitwise_equal(kept, output), name
-                    stored += _state_nbytes(kept)
-        assert stored <= bound * full
+                    filled.add(name)
+        # Targets resuming everywhere fill every non-affine state a replay
+        # can read: all but the final stage's.
+        assert filled == {name for name, _, meta in stages[:-1]
+                          if not meta.get("affine")}
+        assert _stored_nbytes(trace) <= _observed_nbytes(engine, trace)
+
+    @pytest.mark.parametrize("strategy", ["vectorized", "cached"])
+    def test_fills_run_with_no_active_registry(self, capsnet_setup,
+                                               monkeypatch, strategy):
+        model, test_set = capsnet_setup
+        engine = SweepEngine(model, test_set, batch_size=40,
+                             strategy=strategy)
+        fills = _watch_fills(engine, monkeypatch)
+        targets = _targets_for(model)
+        engine.sweep(targets, NM_VALUES, seed=3)
+        calls = [call for fill in fills for call in fill]
+        assert calls
+        assert all(active == () for _, active in calls)
+        # At most one fill per target, also when ``cached`` replays per
+        # point.
+        assert len(fills) <= len(targets)
+
+    def test_repeated_sweep_runs_no_fill_stage_calls(self, capsnet_setup,
+                                                     monkeypatch):
+        model, test_set = capsnet_setup
+        engine = SweepEngine(model, test_set, batch_size=40)
+        fills = _watch_fills(engine, monkeypatch)
+        first = _accuracies(engine.sweep(_targets_for(model), NM_VALUES,
+                                         seed=3))
+        assert any(fills)
+        fills.clear()
+        again = _accuracies(engine.sweep(_targets_for(model), NM_VALUES,
+                                         seed=3))
+        assert fills and not any(fills)
+        assert again == first
+
+    @pytest.mark.parametrize("strategy", ["vectorized", "cached"])
+    def test_curves_do_not_depend_on_fill_history(self, capsnet_setup,
+                                                  strategy):
+        """A trace filled by other targets first (top-down) gives the
+        same curves as a never-filled engine, and ``cached`` on it still
+        matches the naive reference."""
+        model, test_set = capsnet_setup
+        targets = _targets_for(model)
+        warm = SweepEngine(model, test_set, batch_size=40, strategy=strategy)
+        warm.sweep(targets[::-1], NM_VALUES, seed=5)
+        curves = _accuracies(warm.sweep(targets, NM_VALUES, seed=3))
+        assert curves == _accuracies(_sweep(model, test_set, strategy,
+                                            targets))
+        if strategy == "cached":
+            assert curves == _accuracies(_sweep(model, test_set, "naive",
+                                                targets))
 
     @pytest.mark.parametrize("setup", ["capsnet_setup", "deepcaps_setup"])
     def test_recomputed_states_match_clean_forward(self, setup, request,
