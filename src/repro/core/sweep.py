@@ -76,7 +76,6 @@ assumes no other hook registry is active while it replays.
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
 from dataclasses import dataclass
@@ -86,7 +85,8 @@ import numpy as np
 from ..data import Dataset
 from ..nn import hooks
 from ..nn.hooks import HookRegistry, InjectionSite, SiteRecorder, use_registry
-from ..nn.routing import SharedVotes, dynamic_routing_shared, stack_affine
+from ..nn.routing import (SharedVotes, dynamic_routing_shared, stack_affine,
+                          stack_budget)
 from ..tensor import Tensor, capsule_lengths, no_grad
 from ..train import evaluate_accuracy
 from .noise import (GaussianNoiseInjector, NoiseSpec, StackedNoiseInjector,
@@ -794,7 +794,7 @@ class SweepEngine:
         past the cache-friendly region the big stacked stage/routing
         temporaries become bandwidth-bound and *lose* to smaller replays,
         so the chunk is bounded by the memory the replayed suffix touches
-        (``REPRO_SWEEP_STACK_BYTES`` overrides the budget).  ``expansion``
+        (:func:`~repro.nn.routing.stack_budget`).  ``expansion``
         covers the stage-sized arrays a replayed stage holds at once (tiled
         input, output, noise draws, activation temporaries; not im2col,
         which conv2d blocks to 1 MiB): at 1, steps24-deepcaps peak RSS
@@ -807,7 +807,7 @@ class SweepEngine:
         reused by every chunk, chunking never changes the noise a given
         point receives.
         """
-        budget = int(os.environ.get("REPRO_SWEEP_STACK_BYTES", 16 << 20))
+        budget = stack_budget()
         per_slice = max(trace.stage_bytes[max(resume - 1, 0):], default=0)
         per_slice = max(per_slice * expansion, floor_bytes)
         if per_slice <= 0:
@@ -1034,6 +1034,11 @@ class SweepEngine:
                                                zero_response), None))
                 base_next = self._clean_state(trace, batch, resume + 1,
                                               stages, matcher)
+                if route_spec is not None:
+                    layer = route_spec.layer
+                    u_hat = layer.votes_to_u_hat(base_next.data)
+                    u_deltas = [layer.votes_to_u_hat(delta)
+                                for delta, _ in bases]
                 for start in range(0, k, chunk):
                     stop = min(start + chunk, k)
                     scaled = [(bases[0][0], nms[start:stop] * value_range)]
@@ -1042,13 +1047,11 @@ class SweepEngine:
                             (bases[1][0], nas[start:stop] * value_range))
                     injector.set_specs(specs[start:stop])
                     if route_spec is not None:
-                        layer = route_spec.layer
                         routed = dynamic_routing_shared(
                             SharedVotes(
-                                layer.votes_to_u_hat(base_next.data),
-                                points=stop - start,
-                                deltas=[(coeffs, layer.votes_to_u_hat(delta))
-                                        for delta, coeffs in scaled]),
+                                u_hat, points=stop - start,
+                                deltas=[(coeffs, delta) for delta, (_, coeffs)
+                                        in zip(u_deltas, scaled)]),
                             iterations=layer.routing_iterations,
                             layer_name=layer.name, stack_when=matcher)
                         output = self._replay(

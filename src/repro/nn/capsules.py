@@ -274,9 +274,14 @@ class ClassCaps(Module):
 
         The ndarray twin of the ``expand_dims`` inside :meth:`route`, used
         by the sweep engine to feed cached votes (and their noise deltas)
-        straight into the shared-votes routing fast path.
+        straight into the shared-votes routing fast path.  Not a view: the
+        result is a capsule-major copy, stored in ``(N, Cout, Cin, Dout)``
+        memory order under the same logical shape, because the routing
+        agreement ``niod,jnod->jnio`` reads that order ~1.5x faster with
+        the same bits (the weighted sum is layout-neutral).
         """
-        return votes[..., None]
+        major = np.ascontiguousarray(votes.transpose(0, 2, 1, 3))
+        return major.transpose(0, 2, 1, 3)[..., None]
 
     def routing_spec(self) -> RoutingSpec:
         """Shared-votes stage metadata (stage input = vote tensor)."""

@@ -23,6 +23,12 @@ Two execution forms are provided:
     shared across points (see :class:`SharedVotes`).  With an empty delta
     list this is bit-identical to routing the ``points``-times-tiled vote
     tensor through :func:`dynamic_routing`.
+
+The sweep engine hands CapsNet's ClassCaps votes to the shared form in
+capsule-major memory order (``(N, Cout, Cin, D)`` storage under the
+logical ``(N, Cin, Cout, D, P)`` shape): the agreement contraction reads
+that order faster with the same bits, and the contractions return
+C-contiguous arrays so no reduction downstream sees the layout.
 """
 
 from __future__ import annotations
@@ -38,7 +44,23 @@ from ..tensor import (Tensor, squash, vote_agreement, vote_agreement_shared,
 from . import hooks
 
 __all__ = ["dynamic_routing", "dynamic_routing_shared", "SharedVotes",
-           "RoutingSpec", "stack_affine"]
+           "RoutingSpec", "stack_affine", "stack_budget"]
+
+
+def stack_budget() -> int:
+    """The sweep stacking budget in bytes: ``REPRO_SWEEP_STACK_BYTES``,
+    else 16 MiB.
+
+    Bounds both the sweep engine's NM chunk size and the vote stack
+    :func:`dynamic_routing_shared` materialises.  A value that is not a
+    non-negative integer raises a :class:`ValueError` naming the
+    variable.
+    """
+    raw = os.environ.get("REPRO_SWEEP_STACK_BYTES", str(16 << 20)).strip()
+    if not raw.isdecimal():
+        raise ValueError("REPRO_SWEEP_STACK_BYTES must be a non-negative "
+                         f"integer byte count, got {raw!r}")
+    return int(raw)
 
 
 def dynamic_routing(u_hat: Tensor, *, iterations: int, layer_name: str) -> Tensor:
@@ -147,13 +169,22 @@ class RoutingSpec:
         return hooks.InjectionSite(self.layer.name, hooks.GROUP_MAC, "votes")
 
 
-def _affine_combine(shared_fn, stacked, votes: SharedVotes) -> np.ndarray:
-    """``shared_fn`` against every component of the vote factorisation."""
-    out = shared_fn(stacked, votes.base, votes.points)
+def _affine_combine(shared_fn, state, votes: SharedVotes) -> np.ndarray:
+    """``shared_fn`` against every component of the vote factorisation.
+
+    ``state`` holds either every point's rows (``points*N``) or ``N``
+    rows that all points share; the latter contracts once and tiles the
+    base term, which gives the same bits because einsum computes each
+    output row independently of the leading axis.
+    """
     n = votes.base.shape[0]
+    rows = state.shape[0] // n
+    out = shared_fn(state, votes.base, rows)
+    if rows != votes.points:
+        out = np.concatenate([out] * votes.points, axis=0)
     for coeffs, delta in votes.deltas:
-        term = shared_fn(stacked, delta, votes.points)
-        term = term.reshape((votes.points, n) + term.shape[1:])
+        term = shared_fn(state, delta, rows)
+        term = term.reshape((rows, n) + term.shape[1:])
         scale = np.asarray(coeffs, np.float32).reshape(
             (votes.points,) + (1,) * (term.ndim - 1))
         out += (scale * term).reshape(out.shape)
@@ -171,21 +202,23 @@ def stack_affine(base: np.ndarray, deltas, points: int) -> np.ndarray:
     engine's affine push), and its elementwise order deliberately
     mirrors the per-point injection (``base + coeff_nm·z + coeff_na·1``)
     so the stacked result is bit-identical to what a per-point injector
-    would produce.
+    would produce.  The stack builds in place: ``base`` is added into the
+    first fresh ``coeffs * delta`` term (float addition commutes, so the
+    bits match ``base + term``), and the result keeps the operands'
+    memory order, so merging the point and batch axes stays a view.
     """
     expand = (slice(None),) + (None,) * base.ndim
     stacked = None
     for coeffs, delta in deltas:
         term = np.asarray(coeffs, np.float32)[expand] * delta[None]
-        stacked = base[None] + term if stacked is None else stacked + term
+        if stacked is None:
+            term += base
+            stacked = term
+        else:
+            stacked += term
     if stacked is None:
         stacked = np.broadcast_to(base, (points,) + base.shape)
     return stacked.reshape((points * base.shape[0],) + base.shape[1:])
-
-
-def _materialize(votes: SharedVotes) -> np.ndarray:
-    """Collapse the affine factorisation into the stacked vote tensor."""
-    return stack_affine(votes.base, votes.deltas, votes.points)
 
 
 def dynamic_routing_shared(votes: SharedVotes, *, iterations: int,
@@ -201,7 +234,7 @@ def dynamic_routing_shared(votes: SharedVotes, *, iterations: int,
     and the results are bit-identical to the tiled replay (einsum
     accumulates each output element independently of the leading-axis
     size, and the iteration-1 couplings ``softmax(0) = 1/Cout`` are
-    emitted as the exact constant).  Three execution refinements cut the
+    emitted as the exact constant).  Four execution refinements cut the
     cost below the tiled form:
 
     * **Shared contractions** — with no deltas, the vote contractions run
@@ -217,11 +250,20 @@ def dynamic_routing_shared(votes: SharedVotes, *, iterations: int,
       stacks from the start.
     * **Materialisation fallback** — when deltas are present, the
       factored contraction costs one extra vote read per delta; for
-      small vote tensors (stack fits ``REPRO_SWEEP_STACK_BYTES``, default
+      small vote tensors (stack fits :func:`stack_budget`, default
       16 MiB) it is cheaper to materialise the noisy stack once per curve
       and contract it tiled, which also keeps bit-identity with the
       per-point injection.  Past the budget the factored form wins on
       memory traffic and is equivalent up to float reordering.
+    * **Layout and the first iteration** — ``votes.base`` and the deltas
+      may be stored capsule-major (see
+      :meth:`~repro.nn.ClassCaps.votes_to_u_hat`); every contraction
+      keeps the bits of C-order votes, and the materialised stack keeps
+      the operands' order.  In the factored form the iteration-1
+      couplings, unless the softmax site injects them, are one constant
+      for every point, so the first weighted sum contracts ``N`` rows
+      per vote component and tiles the result instead of contracting
+      ``points*N`` rows.
 
     Returns the stacked output capsules ``(points*N, Cout, D, P)``.
     """
@@ -236,10 +278,8 @@ def dynamic_routing_shared(votes: SharedVotes, *, iterations: int,
     kn = points * n
 
     u_stacked = None
-    if votes.deltas:
-        budget = int(os.environ.get("REPRO_SWEEP_STACK_BYTES", 16 << 20))
-        if points * base.nbytes <= budget:
-            u_stacked = Tensor(_materialize(votes))
+    if votes.deltas and points * base.nbytes <= stack_budget():
+        u_stacked = Tensor(stack_affine(base, votes.deltas, points))
     u_base = Tensor(base)
     # The routing state of every point is identical until the first
     # injected emit; ``stacked`` flips when divergence becomes possible.
@@ -254,9 +294,9 @@ def dynamic_routing_shared(votes: SharedVotes, *, iterations: int,
         if logits is None:
             # softmax of an all-zero logits tensor, emitted as the exact
             # constant it evaluates to.
-            k = Tensor(np.full((kn if stacked else n, c_in, c_out, 1, p),
-                               np.float32(1.0) / np.float32(c_out),
-                               dtype=np.float32))
+            k = uniform = Tensor(np.full(
+                (kn if stacked else n, c_in, c_out, 1, p),
+                np.float32(1.0) / np.float32(c_out), dtype=np.float32))
         else:
             k = logits.softmax(axis=2)
         site = hooks.InjectionSite(layer_name, hooks.GROUP_SOFTMAX, f"iter{r}")
@@ -268,7 +308,10 @@ def dynamic_routing_shared(votes: SharedVotes, *, iterations: int,
         elif u_stacked is not None:
             s = weighted_vote_sum(k, u_stacked)
         else:
-            s = Tensor(_affine_combine(weighted_vote_sum_shared, k.data,
+            # Un-injected constant couplings are the same for every
+            # point: contract them once, on N rows.
+            rows = k.data[:n] if k is uniform else k.data
+            s = Tensor(_affine_combine(weighted_vote_sum_shared, rows,
                                        votes), op="weighted_vote_sum_shared")
         site = hooks.InjectionSite(layer_name, hooks.GROUP_MAC,
                                    f"weighted_sum_iter{r}")

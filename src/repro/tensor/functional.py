@@ -105,6 +105,13 @@ def vote_agreement(votes: Tensor, v: Tensor) -> Tensor:
     ``(N, Cout, D, P)``; the result — the routing logits update — has
     shape ``(N, Cin, Cout, 1, P)``.  Like :func:`weighted_vote_sum`, the
     contraction skips the vote-sized temporary.
+
+    The result is always C-contiguous.  einsum lays its output out in
+    its operands' memory order, so capsule-major votes (stored
+    ``(N, Cout, Cin, D)``, see :meth:`repro.nn.ClassCaps.votes_to_u_hat`)
+    would yield a ``Cout``-outer update, and the routing softmax over
+    ``Cout`` downstream would then reduce in another order and change
+    bits.
     """
     votes = as_tensor(votes)
     v = as_tensor(v)
@@ -114,6 +121,7 @@ def vote_agreement(votes: Tensor, v: Tensor) -> Tensor:
     else:
         out_data = np.einsum("niodp,nodp->niop", votes.data,
                              v.data)[:, :, :, None, :]
+    out_data = np.ascontiguousarray(out_data)
     out = Tensor._result(out_data, (votes, v), "vote_agreement")
     if not out.requires_grad:
         return out
@@ -194,7 +202,8 @@ def vote_agreement_shared(votes: np.ndarray, v: np.ndarray,
     and ``v`` the stacked squashed capsules ``(points*N, Cout, D, P)``;
     the result is the stacked logits update ``(points*N, Cin, Cout, 1,
     P)``, bit-identical to the tiled contraction (see
-    :func:`weighted_vote_sum_shared`).
+    :func:`weighted_vote_sum_shared`) and, like :func:`vote_agreement`'s,
+    C-contiguous whatever the memory order of ``votes``.
     """
     n, c_in, c_out, d, p = votes.shape
     stacked = v.reshape(points, n, c_out, d, p)
@@ -204,7 +213,7 @@ def vote_agreement_shared(votes: np.ndarray, v: np.ndarray,
     else:
         out = np.einsum("niodp,jnodp->jniop", votes, stacked)[:, :, :, :,
                                                               None, :]
-    return out.reshape(points * n, c_in, c_out, 1, p)
+    return np.ascontiguousarray(out).reshape(points * n, c_in, c_out, 1, p)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

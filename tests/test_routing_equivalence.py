@@ -13,7 +13,12 @@ Contract (ISSUE 2 / ``repro.nn.routing``):
   materialisation budget holds, and up to float reordering beyond it;
 * lazy stacking (the ``stack_when`` hint) never changes results;
 * the engine-level fast path (``shared_votes=True``) reproduces the
-  generic NM-stacked replay exactly on routing-resumed targets.
+  generic NM-stacked replay exactly on routing-resumed targets;
+* capsule-major votes (:meth:`ClassCaps.votes_to_u_hat`) route to the
+  same bits as C-order votes at the production ClassCaps shapes, and
+  every routing contraction returns a C-contiguous array;
+* the factored first iteration contracts ``N`` rows, and
+  :func:`stack_affine` builds in place, both without changing bits.
 
 The function-level checks are property-style: shapes, iteration counts and
 noise settings are drawn from a seeded RNG so each CI run exercises the
@@ -22,13 +27,18 @@ same broad slice of the input space.
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import SweepEngine, StackedNoiseInjector, NoiseSpec, \
     site_matcher
 from repro.nn import (ClassCaps, ConvCaps3D, SharedVotes, dynamic_routing,
-                      dynamic_routing_shared)
+                      dynamic_routing_shared, routing)
+from repro.nn.routing import stack_affine, stack_budget
 from repro.nn.hooks import (GROUP_ACTIVATIONS, GROUP_LOGITS, GROUP_MAC,
                             GROUP_SOFTMAX, HookRegistry, INJECTABLE_GROUPS,
                             use_registry)
@@ -306,3 +316,246 @@ class TestEngineFastPath:
                 point.accuracy
                 for point in curves[(GROUP_ACTIVATIONS, "PrimaryCaps")].points]
         assert results[True] == results[False]
+
+
+# --------------------------------------------------- capsule-major votes
+#: (N, Cin, points): CapsNet ClassCaps at routing-capsnet's batch sizes
+#: (16-sample tail, 24-sample batches, 96) and DeepCaps ClassCaps.
+PRODUCTION_SHAPES = [(16, 144, 9), (24, 144, 9), (96, 144, 3), (96, 16, 4)]
+
+#: Budgets selecting each shared path when vote deltas are present.
+VOTE_PATHS = {"materialized": str(1 << 30), "factored": "0"}
+
+CONTRACTIONS = ("weighted_vote_sum", "vote_agreement",
+                "weighted_vote_sum_shared", "vote_agreement_shared")
+
+
+def _c_order_u_hat(votes: np.ndarray) -> np.ndarray:
+    """The plain-view ``votes_to_u_hat`` (C-order storage)."""
+    return votes[..., None]
+
+
+def _record_contiguity(monkeypatch) -> list:
+    """Wrap the routing contractions; log (name, C-contiguous) per call."""
+    seen = []
+    for name in CONTRACTIONS:
+        def wrapped(*args, _fn=getattr(routing, name), _name=name):
+            out = _fn(*args)
+            data = out.data if isinstance(out, Tensor) else out
+            seen.append((_name, data.flags.c_contiguous))
+            return out
+        monkeypatch.setattr(routing, name, wrapped)
+    return seen
+
+
+class TestCapsuleMajorLayout:
+    """Capsule-major votes keep every bit at the shapes einsum is fast on.
+
+    The property tests above use Cin <= 13 and D <= 8, below where
+    einsum picks its fast loops; these run the production ClassCaps
+    shapes.  einsum lays its output out in its operands' order, so a
+    contraction that leaked the capsule-major order would make the
+    downstream softmax reduce differently — hence the contiguity check.
+    """
+
+    @staticmethod
+    def _route(u_hat, raw, coeffs, deltas, group):
+        matcher = site_matcher(groups=[group])
+        specs = [NoiseSpec(nm=float(c), na=0.0, seed=9) for c in coeffs]
+        votes = SharedVotes(u_hat(raw), points=len(specs),
+                            deltas=[(coeffs * scale, u_hat(delta))
+                                    for scale, delta in deltas])
+        return _routed_shared(votes, 3, _injector_registry(specs, matcher),
+                              stack_when=matcher)
+
+    @pytest.mark.parametrize("path", ["empty", *VOTE_PATHS])
+    @pytest.mark.parametrize("shape", PRODUCTION_SHAPES,
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_bitwise_equal_to_c_order(self, shape, path, monkeypatch):
+        n, c_in, points = shape
+        rng = np.random.default_rng(n * c_in)
+        layer = ClassCaps(c_in, 8, 10, 16, name=LAYER, rng=rng)
+        raw = rng.normal(0.0, 0.3, (n, c_in, 10, 16)).astype(np.float32)
+        coeffs = rng.uniform(0.0, 0.2, points).astype(np.float32)
+        deltas = []
+        if path != "empty":
+            monkeypatch.setenv("REPRO_SWEEP_STACK_BYTES", VOTE_PATHS[path])
+            z = rng.standard_normal(raw.shape, dtype=np.float32)
+            deltas = [(np.float32(1.0), z),
+                      (np.float32(0.5), np.ones_like(raw))]
+        seen = _record_contiguity(monkeypatch)
+        for group in INJECTABLE_GROUPS:
+            major = self._route(layer.votes_to_u_hat, raw, coeffs, deltas,
+                                group)
+            plain = self._route(_c_order_u_hat, raw, coeffs, deltas, group)
+            assert np.array_equal(major, plain), (shape, path, group)
+        assert seen and all(contiguous for _, contiguous in seen), \
+            sorted({name for name, contiguous in seen if not contiguous})
+
+    def test_votes_to_u_hat_is_capsule_major(self):
+        layer = ClassCaps(6, 4, 3, 8, name=LAYER)
+        votes = np.arange(2 * 6 * 3 * 8, dtype=np.float32).reshape(2, 6, 3, 8)
+        u_hat = layer.votes_to_u_hat(votes)
+        assert u_hat.shape == (2, 6, 3, 8, 1)
+        assert np.array_equal(u_hat[..., 0], votes)
+        assert u_hat[..., 0].transpose(0, 2, 1, 3).flags.c_contiguous
+
+    @pytest.mark.parametrize("setup", ["capsnet", "capsnet-factored",
+                                       "deepcaps"])
+    def test_engine_replays_hash_equal(self, setup, trained_capsnet,
+                                       trained_deepcaps, mnist_splits,
+                                       monkeypatch):
+        """Every replayed output the engine scores is byte-identical with
+        capsule-major and plain-view ClassCaps votes."""
+        if setup == "deepcaps":
+            model, test_set = trained_deepcaps
+            test_set = test_set.subset(64)
+        else:
+            model, test_set = trained_capsnet, mnist_splits[1].subset(80)
+        if setup == "capsnet-factored":
+            # Chunks hold every point but the vote stack no longer fits.
+            monkeypatch.setenv("REPRO_SWEEP_STACK_BYTES", str(4 << 20))
+        targets = _routing_targets(model)
+        if setup != "deepcaps":
+            targets.append((GROUP_ACTIVATIONS, "PrimaryCaps"))
+        count_correct = SweepEngine._count_correct
+
+        def replay_hashes():
+            digest = hashlib.sha256()
+
+            def hashed(output, labels, points):
+                digest.update(output.data.tobytes())
+                return count_correct(output, labels, points)
+
+            monkeypatch.setattr(SweepEngine, "_count_correct",
+                                staticmethod(hashed))
+            engine = SweepEngine(model, test_set, batch_size=40,
+                                 strategy="vectorized")
+            engine.sweep(targets, NM_VALUES, seed=3)
+            return digest.hexdigest()
+
+        major = replay_hashes()
+        monkeypatch.setattr(ClassCaps, "votes_to_u_hat",
+                            lambda self, votes: _c_order_u_hat(votes))
+        assert replay_hashes() == major
+
+
+class TestFactoredFirstIteration:
+    """Un-injected iteration-1 couplings contract once, on N rows."""
+
+    @staticmethod
+    def _rows_and_output(monkeypatch, registry, votes, matcher):
+        rows = []
+        shared_sum = routing.weighted_vote_sum_shared
+
+        def recorded(coupling, shared, points):
+            rows.append(coupling.shape[0])
+            return shared_sum(coupling, shared, points)
+
+        monkeypatch.setattr(routing, "weighted_vote_sum_shared", recorded)
+        out = _routed_shared(votes, 3, registry, stack_when=matcher)
+        return rows, out
+
+    def test_rows_and_bits(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_STACK_BYTES", "0")
+        rng = np.random.default_rng(51)
+        n, points = 24, 3
+        layer = ClassCaps(144, 8, 10, 16, name=LAYER, rng=rng)
+        raw = rng.normal(0.0, 0.3, (n, 144, 10, 16)).astype(np.float32)
+        z = rng.standard_normal(raw.shape, dtype=np.float32)
+        coeffs = rng.uniform(0.0, 0.2, points).astype(np.float32)
+        votes = SharedVotes(layer.votes_to_u_hat(raw), points=points,
+                            deltas=[(coeffs, layer.votes_to_u_hat(z))])
+        specs = [NoiseSpec(nm=float(c), seed=9) for c in coeffs]
+        matcher = site_matcher(groups=[GROUP_MAC])
+
+        rows, once = self._rows_and_output(
+            monkeypatch, _injector_registry(specs, matcher), votes, matcher)
+        assert rows == [n, n] + [points * n] * 4
+
+        # Matching the softmax site (here with an exact copy) stacks
+        # iteration 1: the tiled reference.
+        softmax_iter1 = HookRegistry.match(group=GROUP_SOFTMAX, tag="iter1")
+        registry = _injector_registry(specs, matcher)
+        registry.add_transform(softmax_iter1, lambda site, value: value.copy())
+
+        def either(site):
+            return matcher(site) or softmax_iter1(site)
+
+        rows, tiled = self._rows_and_output(monkeypatch, registry, votes,
+                                            either)
+        assert rows == [points * n] * 6
+        assert np.array_equal(once, tiled)
+
+
+class TestStackAffine:
+    """The affine stack builds in place with the bits of ``base + term``."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("layout", ["c-order", "capsule-major"])
+    def test_bits_layout_and_peak(self, count, layout):
+        rng = np.random.default_rng(60 + count)
+        layer = ClassCaps(144, 8, 10, 16, name=LAYER, rng=rng)
+        to_u_hat = (layer.votes_to_u_hat if layout == "capsule-major"
+                    else _c_order_u_hat)
+        raw = [rng.normal(size=(16, 144, 10, 16)).astype(np.float32)
+               for _ in range(1 + count)]
+        base, *deltas = [to_u_hat(part) for part in raw]
+        points = 9
+        pairs = [(rng.uniform(0.0, 0.2, points).astype(np.float32), delta)
+                 for delta in deltas]
+
+        reference = base[None]
+        for coeffs, delta in pairs:
+            reference = reference + coeffs[:, None, None, None, None,
+                                           None] * delta[None]
+        reference = reference.reshape((points * 16,) + base.shape[1:])
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stacked = stack_affine(base, pairs, points)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(stacked, reference)
+        # One delta: only the output; two: the output plus one term.
+        assert peak <= count * stacked.nbytes + (64 << 10), peak
+        if layout == "capsule-major":
+            assert stacked[..., 0].transpose(0, 2, 1, 3).flags.c_contiguous
+
+
+class TestStackBudget:
+    """``REPRO_SWEEP_STACK_BYTES`` has one reader for both consumers."""
+
+    def test_default_and_malformed(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_STACK_BYTES", raising=False)
+        assert stack_budget() == 16 << 20
+        for bad in ("16MiB", "", "-1"):
+            monkeypatch.setenv("REPRO_SWEEP_STACK_BYTES", bad)
+            with pytest.raises(ValueError, match="REPRO_SWEEP_STACK_BYTES"):
+                stack_budget()
+
+    def test_one_override_reaches_both_consumers(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        u = rng.normal(size=(4, 8, 3, 4, 1)).astype(np.float32)
+        votes = SharedVotes(u, points=3, deltas=[
+            (np.float32([0.1, 0.2, 0.3]), np.ones_like(u))])
+        # _stack_chunk reads only the trace's per-stage bytes.
+        engine = object.__new__(SweepEngine)
+        trace = SimpleNamespace(stage_bytes=[u.nbytes])
+        materialized = []
+        monkeypatch.setattr(routing, "stack_affine",
+                            lambda *args: materialized.append(1)
+                            or stack_affine(*args))
+        for budget, chunk, stacks in ((3 * u.nbytes, 3, 1), (u.nbytes, 1, 0)):
+            monkeypatch.setenv("REPRO_SWEEP_STACK_BYTES", str(budget))
+            materialized.clear()
+            assert engine._stack_chunk(trace, 1, 3, expansion=1) == chunk
+            _routed_shared(votes, 2)
+            assert len(materialized) == stacks, budget
+        monkeypatch.setenv("REPRO_SWEEP_STACK_BYTES", "lots")
+        with pytest.raises(ValueError, match="REPRO_SWEEP_STACK_BYTES"):
+            engine._stack_chunk(trace, 1, 3)
+        with pytest.raises(ValueError, match="REPRO_SWEEP_STACK_BYTES"):
+            _routed_shared(votes, 2)
