@@ -214,12 +214,12 @@ class AnalysisRequest:
         Differs from :meth:`to_payload` in two ways: the execution
         options collapse to :meth:`~repro.core.sweep.ExecutionOptions.
         cache_key`, so result-invariant knobs (retries, deadlines and
-        tenant; ``naive`` vs ``cached``; ``shared_votes`` outside the
-        stacked tier) hash identically — and session *names* are
-        erased, because they are handles rather than content: the store key's model and dataset
-        CRCs already identify the registered pair, so sessions holding
-        identical weights and data share cache entries regardless of the
-        name they registered under (this is what lets
+        tenant; ``naive`` vs ``cached``) hash identically — and session
+        *names* are erased, because they are handles rather than
+        content: the store key's model and dataset CRCs already identify
+        the registered pair, so sessions holding identical weights and
+        data share cache entries regardless of the name they registered
+        under (this is what lets
         :class:`~repro.core.methodology.ReDCaNe` register collision-free
         per-run names without losing warm starts across runs).
         """

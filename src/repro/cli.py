@@ -81,10 +81,10 @@ class ArtifactSpec:
     """One artifact registry entry.
 
     ``sweeps`` declares whether the artifact runs resilience sweeps (and
-    therefore honours ``--strategy``/``--no-shared-votes``/``--backend``/
-    ``--max-parallel``/``--remote`` via its
-    :class:`ExperimentScale` and service); naming a non-sweep artifact
-    together with those flags errors instead of silently dropping them.
+    therefore honours ``--strategy``/``--backend``/``--max-parallel``/
+    ``--remote`` via its :class:`ExperimentScale` and service); naming a
+    non-sweep artifact together with those flags errors instead of
+    silently dropping them.
     ``remote_ok=False`` marks sweep artifacts that must touch the model
     object in-process (the X2 ablation mutates routing depth) and
     therefore reject ``--remote`` up front rather than crashing mid-run.
@@ -242,9 +242,7 @@ def _build_context(args) -> RunContext:
         resilience["shard_timeout"] = args.shard_timeout
     if args.client_id is not None:
         resilience["client_id"] = args.client_id
-    execution = ExecutionOptions(strategy=args.strategy,
-                                 shared_votes=not args.no_shared_votes,
-                                 **resilience)
+    execution = ExecutionOptions(strategy=args.strategy, **resilience)
     scale = ExperimentScale(execution=execution)
     if args.quick:
         scale = scale.quick()
@@ -258,8 +256,6 @@ def _sweep_flags_given(args) -> list[str]:
     flags = []
     if args.strategy != "auto":
         flags.append("--strategy")
-    if args.no_shared_votes:
-        flags.append("--no-shared-votes")
     if args.max_retries is not None:
         flags.append("--max-retries")
     if args.shard_timeout is not None:
@@ -392,9 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", choices=list(STRATEGIES), default="auto",
                      help="resilience-sweep execution strategy "
                           "(see repro.core.sweep)")
-    run.add_argument("--no-shared-votes", action="store_true",
-                     help="disable the shared-votes routing fast path for "
-                          "routing-resumed sweep targets")
     run.add_argument("--max-retries", type=int, default=None,
                      help="retry a failed shard this many times with "
                           "exponential backoff before poisoning it "

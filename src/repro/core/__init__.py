@@ -11,8 +11,7 @@ The ``strategy`` knob on the analysis functions and
 :class:`ReDCaNeConfig` selects between ``naive`` (the original per-point
 loop), ``cached`` (prefix replay, bit-identical to naive),
 ``vectorized`` (prefix replay + NM stacking, fastest) and ``auto``
-(vectorized with a safe naive fallback); ``shared_votes=False`` forces
-the generic stacked replay on routing-resumed targets.
+(vectorized with a safe naive fallback).
 """
 
 from .groups import GroupExtraction, extract_groups

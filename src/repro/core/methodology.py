@@ -37,7 +37,7 @@ __all__ = ["ReDCaNeConfig", "ApproximateCapsNetDesign", "ReDCaNe"]
 class ReDCaNeConfig:
     """Tuning knobs of the methodology run.
 
-    Sweep execution (batch size, strategy, shared-votes fast path)
+    Sweep execution (batch size, strategy, fault tolerance, tenant)
     lives in one shared :class:`~repro.core.sweep.ExecutionOptions` —
     the same dataclass the experiments' ``ExperimentScale`` and the CLI
     use.

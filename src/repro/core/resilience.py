@@ -87,13 +87,13 @@ def noisy_accuracy(model, dataset: Dataset, spec: NoiseSpec, *,
         return evaluate_accuracy(model, dataset, batch_size=batch_size)
 
 
-def _engine(model, dataset, batch_size, strategy, shared_votes, engine):
+def _engine(model, dataset, batch_size, strategy, engine):
     """Build (or reuse) the sweep engine behind the Step 2/4 entry points."""
     if engine is not None:
         return engine
     from .sweep import SweepEngine
     return SweepEngine(model, dataset, batch_size=batch_size,
-                       strategy=strategy, shared_votes=shared_votes)
+                       strategy=strategy)
 
 
 def group_wise_analysis(model, dataset: Dataset, *,
@@ -101,20 +101,19 @@ def group_wise_analysis(model, dataset: Dataset, *,
                         nm_values=PAPER_NM_SWEEP, na: float = 0.0,
                         seed: int = 0, batch_size: int = 64,
                         baseline_accuracy: float | None = None,
-                        strategy: str = "auto", shared_votes: bool = True,
+                        strategy: str = "auto",
                         engine=None) -> dict[str, ResilienceCurve]:
     """Step 2: inject the same noise into every operation within a group,
     keeping the other groups accurate (paper Sec. VI-A).
 
     Execution routes through :class:`repro.core.sweep.SweepEngine`;
     ``strategy="naive"`` restores the original one-evaluation-per-point
-    loop (see the engine's docstring for the other knobs, including the
-    ``shared_votes`` routing fast path).  A prebuilt ``engine`` may be
-    passed to share its prefix-activation cache across Steps 2 and 4
-    (its batch size/strategy then take precedence).
+    loop (see the engine's docstring for the other strategies).  A
+    prebuilt ``engine`` may be passed to share its prefix-activation
+    cache across Steps 2 and 4 (its batch size/strategy then take
+    precedence).
     """
-    engine = _engine(model, dataset, batch_size, strategy, shared_votes,
-                     engine)
+    engine = _engine(model, dataset, batch_size, strategy, engine)
     return engine.sweep([(group, None) for group in groups], nm_values,
                         na=na, seed=seed, baseline_accuracy=baseline_accuracy)
 
@@ -124,15 +123,14 @@ def layer_wise_analysis(model, dataset: Dataset, *,
                         nm_values=PAPER_NM_SWEEP, na: float = 0.0,
                         seed: int = 0, batch_size: int = 64,
                         baseline_accuracy: float | None = None,
-                        strategy: str = "auto", shared_votes: bool = True,
+                        strategy: str = "auto",
                         engine=None) -> dict[tuple[str, str], ResilienceCurve]:
     """Step 4: per-layer injection for each (typically non-resilient) group.
 
     Routed through the sweep engine exactly like
     :func:`group_wise_analysis`.
     """
-    engine = _engine(model, dataset, batch_size, strategy, shared_votes,
-                     engine)
+    engine = _engine(model, dataset, batch_size, strategy, engine)
     return engine.sweep(
         [(group, layer) for group in groups for layer in layers], nm_values,
         na=na, seed=seed, baseline_accuracy=baseline_accuracy)

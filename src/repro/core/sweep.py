@@ -29,18 +29,22 @@ finishes that thought at the execution layer with an observe/replay model:
    NM axis) and keeps its standard-normal draws for the current batch
    only.  NM = 0 points are read off the cached clean predictions for
    free.
-3. **Shared-votes routing** — a target that resumes at a dynamic-routing
-   stage (its first injected site is the vote tensor or one of the
-   routing-loop sites) replays through
-   :func:`~repro.nn.dynamic_routing_shared`: the routing *state* is
-   NM-stacked but the vote tensor — the dominant operand of every
+3. **Replay plans** — one NM-stacked loop
+   (:meth:`SweepEngine._replay_curve`) replays every target; a per-target
+   plan says what a batch prepares and how one chunk of points runs.
+   ``tiled`` replays the clean resume state tiled per chunk.
+   ``routing`` serves a target that resumes at a dynamic-routing stage
+   (its first injected site is the vote tensor or a routing-loop site)
+   through :func:`~repro.nn.dynamic_routing_shared`: the routing *state*
+   is NM-stacked but the vote tensor — the dominant operand of every
    routing contraction — stays un-tiled and shared across points, and
    vote-tensor noise rides along as common-random-number affine deltas
-   (:meth:`StackedNoiseInjector.affine_deltas`).  A whole NM curve then
-   costs one batched routing pass instead of ``len(nm_values)`` vote
-   reads.  Models advertise the entry points via ``{"routing":
-   RoutingSpec}`` stage metadata; the affine push below hands off to the
-   same path when its factored stage feeds a routing stage directly.
+   (:meth:`StackedNoiseInjector.affine_deltas`), so a whole NM curve
+   costs one batched routing pass.  Models advertise the entry points
+   via ``{"routing": RoutingSpec}`` stage metadata.  ``push`` factors
+   the curve through the affine stage after the first injected site,
+   and hands the factored bases to the shared-votes routing when that
+   stage feeds a routing stage directly (``push+routing``).
 
 The engine runs its targets sequentially.  Independent targets run in
 parallel one level up: the analysis service shards a request per target
@@ -157,10 +161,9 @@ class ExecutionOptions:
     dataclass instead of re-declaring the knobs.
 
     ``batch_size`` and ``strategy`` affect the measured accuracies (they
-    change the noise draws); ``shared_votes`` only reorders float
-    accumulation on routing-resumed targets.  :meth:`cache_key` encodes
-    exactly the result-affecting subset, so the result store hits across
-    equivalent configurations.
+    change the noise draws).  :meth:`cache_key` encodes exactly the
+    result-affecting subset, so the result store hits across equivalent
+    configurations.
 
     ``max_retries`` and ``shard_timeout`` are the fault-tolerance knobs
     (how many times a failed shard requeues; the per-shard wall-clock
@@ -180,7 +183,6 @@ class ExecutionOptions:
 
     batch_size: int = 64
     strategy: str = "auto"
-    shared_votes: bool = True
     max_retries: int = 2
     shard_timeout: float | None = None
     client_id: str | None = None
@@ -223,35 +225,33 @@ class ExecutionOptions:
 
         ``max_retries``, ``shard_timeout`` and ``client_id`` are
         excluded (requeueing, deadlines and tenant identity never change
-        results); strategies collapse to their
-        :attr:`noise_tier`; ``shared_votes`` is normalised away under the
-        ``exact`` tier where it cannot apply.
+        results); strategies collapse to their :attr:`noise_tier`.
+        ``shared_votes`` stays a constant ``True``, so every fingerprint
+        stored while it was a knob still matches.
         """
         return {"batch_size": self.batch_size,
-                "noise_tier": self.noise_tier,
-                "shared_votes": (self.shared_votes
-                                 if self.noise_tier == "stacked" else True)}
+                "noise_tier": self.noise_tier, "shared_votes": True}
 
     def to_payload(self) -> dict:
         return {"batch_size": self.batch_size, "strategy": self.strategy,
-                "shared_votes": self.shared_votes,
                 "max_retries": self.max_retries,
                 "shard_timeout": self.shard_timeout,
                 "client_id": self.client_id}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExecutionOptions":
-        # Payloads stored before the ``workers`` knob was removed still
-        # carry it; it never affected results.
+        # Payloads stored before the ``workers`` and ``shared_votes``
+        # knobs were removed may carry them.  Neither changed results
+        # beyond float reordering, so both decode to the defaults.
         payload = dict(payload)
         payload.pop("workers", None)
+        payload.pop("shared_votes", None)
         return cls(**payload)
 
     def make_engine(self, model, dataset) -> "SweepEngine":
         """A :class:`SweepEngine` configured with these knobs."""
         return SweepEngine(model, dataset, batch_size=self.batch_size,
-                           strategy=self.strategy,
-                           shared_votes=self.shared_votes)
+                           strategy=self.strategy)
 
 
 def model_fingerprint(model) -> int:
@@ -385,7 +385,7 @@ def _state_stack_affine(base, bases):
     """Stack ``base + Σ_b scale_b[j] * delta_b`` over points j (batch axis).
 
     ``base`` is a clean stage state; ``bases`` is a list of
-    ``(delta_state, scales)`` pairs where ``scales`` holds one coefficient
+    ``(scales, delta_state)`` pairs where ``scales`` holds one coefficient
     per stacked point.  Used by the affine push: the noisy stage outputs
     of a whole NM chunk are linear combinations of clean stage outputs
     and one (or two) basis responses.  The scalar leaves evaluate through
@@ -394,12 +394,30 @@ def _state_stack_affine(base, bases):
     """
     if isinstance(base, tuple):
         return tuple(
-            _state_stack_affine(part, [(delta[index], scales)
-                                       for delta, scales in bases])
+            _state_stack_affine(part, [(scales, delta[index])
+                                       for scales, delta in bases])
             for index, part in enumerate(base))
-    points = len(bases[0][1])
-    return Tensor(stack_affine(
-        base.data, [(scales, delta) for delta, scales in bases], points))
+    return Tensor(stack_affine(base.data, bases, len(bases[0][0])))
+
+
+@dataclass(frozen=True)
+class _ReplayPlan:
+    """What one target's stacked replay prepares and runs; the loop
+    around them is :meth:`SweepEngine._replay_curve`.
+
+    ``prepare(batch, stages, injector)`` returns a batch's context;
+    ``chunk(context)`` sizes the NM chunks on the first (largest) batch;
+    ``run(context, stages, injector, start, stop)`` replays points
+    ``start:stop``, whose specs the injector already holds, and returns
+    the output to score.
+    """
+
+    kind: str  # "tiled", "routing", "push" or "push+routing"
+    fill: int  # the stage :meth:`SweepEngine._fill` stores first
+    uniform_sites: frozenset
+    prepare: object
+    chunk: object
+    run: object
 
 
 class SweepEngine:
@@ -414,16 +432,15 @@ class SweepEngine:
         stacking still applies).
     dataset:
         Test dataset whose accuracy is monitored.
+    batch_size:
+        Test samples per clean-trace batch; a stacked replay stacks its
+        NM points on top of one batch.
     strategy:
         One of :data:`STRATEGIES` (see module docstring).
-    shared_votes:
-        Enable the shared-votes routing fast path for routing-resumed
-        targets under the ``vectorized``/``auto`` strategies (default
-        on; disable to force the generic NM-stacked replay).
     """
 
     def __init__(self, model, dataset: Dataset, *, batch_size: int = 64,
-                 strategy: str = "auto", shared_votes: bool = True):
+                 strategy: str = "auto"):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; "
                              f"valid: {list(STRATEGIES)}")
@@ -431,7 +448,6 @@ class SweepEngine:
         self.dataset = dataset
         self.batch_size = batch_size
         self.strategy = strategy
-        self.shared_votes = bool(shared_votes)
         self._trace: _CleanTrace | None = None
         self._should_cancel = None   # per-sweep cooperative flag (locked)
         self._should_preempt = None  # per-sweep cooperative flag (locked)
@@ -488,16 +504,15 @@ class SweepEngine:
 
     def _checkpoint(self) -> None:
         """Stage-boundary cancellation check (see :meth:`sweep`)."""
-        check = getattr(self, "_should_cancel", None)
-        if check is not None and check():
+        if self._should_cancel is not None and self._should_cancel():
             raise SweepCancelled(
                 "sweep cancelled at a stage boundary (cooperative "
                 "cancellation flag set)")
 
     def _preempt_pending(self) -> bool:
         """Whether the cooperative preemption flag is raised."""
-        check = getattr(self, "_should_preempt", None)
-        return check is not None and bool(check())
+        return (self._should_preempt is not None
+                and bool(self._should_preempt()))
 
     def _sweep_locked(self, targets, nm_values, na, seed, baseline_accuracy):
         targets = [target if isinstance(target, SweepTarget)
@@ -541,15 +556,6 @@ class SweepEngine:
         """
         self._trace = None
 
-    # ------------------------------------------------------------ staleness
-    def _model_fingerprint(self) -> int:
-        """CRC over the model state a cached clean trace depends on.
-
-        A changed fingerprint means the cached activations no longer
-        describe this model; see :func:`model_fingerprint`.
-        """
-        return model_fingerprint(self.model)
-
     # ------------------------------------------------------------------ plans
     def _resolve_strategy(self) -> str:
         strategy = "vectorized" if self.strategy == "auto" else self.strategy
@@ -579,7 +585,7 @@ class SweepEngine:
         buffers and rebuilt automatically when they changed since the
         last sweep (the classic stale-cache bug of mutating a model
         between sweeps without calling :meth:`invalidate`)."""
-        fingerprint = self._model_fingerprint()
+        fingerprint = model_fingerprint(self.model)
         if self._trace is not None and self._trace.fingerprint == fingerprint:
             return self._trace
         self._trace = None
@@ -709,22 +715,9 @@ class SweepEngine:
             resume = min(trace.site_stage[site] for site in matching)
             live_specs = [spec for _, spec in live]
             if strategy == "vectorized":
-                order = {site: index
-                         for index, site in enumerate(trace.site_order)}
-                first_site = min(matching, key=order.get)
-                route_spec = self._routing_plan(trace, matcher, resume,
-                                                consume_votes=True)
-                if route_spec is not None:
-                    measured = self._run_route_shared(trace, live_specs,
-                                                      matcher, resume,
-                                                      first_site, route_spec)
-                elif self._can_push(trace, matching, resume, first_site):
-                    measured = self._run_pushed(trace, live_specs, matcher,
-                                                resume, first_site)
-                else:
-                    measured = self._run_vectorized(trace, live_specs,
-                                                    matcher, resume,
-                                                    first_site)
+                measured = self._replay_curve(
+                    trace, live_specs, matcher, self._select_plan(
+                        trace, live_specs, matcher, matching, resume))
             else:
                 # Per-point execution: points are independent evaluations,
                 # so preemption can park between them with the measured
@@ -814,43 +807,40 @@ class SweepEngine:
             return points
         return max(1, min(points, budget // per_slice))
 
-    def _run_vectorized(self, trace: _CleanTrace, specs, matcher,
-                        resume: int, first_site: InjectionSite) -> list[float]:
+    def _replay_curve(self, trace: _CleanTrace, specs, matcher,
+                      plan: _ReplayPlan) -> list[float]:
         """A whole NM curve via NM-stacked replays with shared base draws.
 
         Points are stacked along the batch axis in cache-bounded chunks;
         the injector reuses one standard-normal draw per (site, batch)
         across every chunk (common random numbers), so the curve costs a
-        single evaluation's worth of RNG work regardless of chunking.  The
-        clean resume state is fetched (or recomputed) once per batch and
-        tiled per chunk.  ``first_site`` still sees the tiled clean
-        prefix, so its per-slice ranges coincide.  No salt: targets
-        sharing a site draw the same base noise there (cross-target CRN,
-        which pairs the curves Steps 3/5 compare).
+        single evaluation's worth of RNG work regardless of chunking.  No
+        salt: targets sharing a site draw the same base noise there
+        (cross-target CRN, which pairs the curves Steps 3/5 compare).
         """
-        self._fill(trace, resume - 1)
+        self._fill(trace, plan.fill)
         k = len(specs)
         injector = StackedNoiseInjector(specs, seed=specs[0].seed,
-                                        uniform_sites={first_site})
+                                        uniform_sites=plan.uniform_sites)
         registry = HookRegistry()
         registry.add_transform(matcher, injector)
         stages = self._stages()
-        chunk = self._stack_chunk(trace, resume, k)
+        chunk = None
         self.model.eval()
         correct = np.zeros(k, dtype=np.int64)
         with no_grad(), use_registry(registry):
             for batch_index, batch in enumerate(trace.batches):
                 self._checkpoint()
                 injector.begin_batch(batch_index)
-                clean = self._clean_state(trace, batch, resume - 1, stages,
-                                          matcher)
+                context = plan.prepare(batch, stages, injector)
+                if chunk is None:  # sized on the first (largest) batch
+                    chunk = plan.chunk(context)
                 for start in range(0, k, chunk):
-                    stacked = specs[start:start + chunk]
-                    injector.set_specs(stacked)
-                    output = self._replay(stages, resume,
-                                          _tile_state(clean, len(stacked)))
-                    correct[start:start + chunk] += self._count_correct(
-                        output, batch.labels, len(stacked))
+                    stop = min(start + chunk, k)
+                    injector.set_specs(specs[start:stop])
+                    output = plan.run(context, stages, injector, start, stop)
+                    correct[start:stop] += self._count_correct(
+                        output, batch.labels, stop - start)
         return (correct / len(self.dataset)).tolist()
 
     @staticmethod
@@ -859,8 +849,39 @@ class SweepEngine:
         predictions = np.argmax(lengths, axis=1).reshape(points, len(labels))
         return (predictions == labels[None, :]).sum(axis=1)
 
+    def _select_plan(self, trace: _CleanTrace, specs, matcher, matching,
+                     resume: int) -> _ReplayPlan:
+        """The replay plan of a target whose first injected stage is
+        ``resume`` (see the module docstring)."""
+        order = {site: index for index, site in enumerate(trace.site_order)}
+        first_site = min(matching, key=order.get)
+        route = self._routing_spec(trace, matcher, resume, consume_votes=True)
+        if route is not None:
+            return self._shared_routing_plan(trace, specs, matcher, resume,
+                                             first_site, route)
+        if self._can_push(trace, matching, resume, first_site):
+            return self._push_plan(trace, specs, matcher, resume, first_site)
+        return self._tiled_plan(trace, specs, matcher, resume, first_site)
+
+    def _tiled_plan(self, trace: _CleanTrace, specs, matcher, resume: int,
+                    first_site: InjectionSite) -> _ReplayPlan:
+        """The generic replay: the clean resume state, fetched (or
+        recomputed) once per batch and tiled per chunk.  ``first_site``
+        sees the tiled clean prefix, so its per-slice ranges coincide."""
+        def prepare(batch, stages, injector):
+            return self._clean_state(trace, batch, resume - 1, stages,
+                                     matcher)
+
+        def run(clean, stages, injector, start, stop):
+            return self._replay(stages, resume,
+                                _tile_state(clean, stop - start))
+
+        return _ReplayPlan(
+            "tiled", resume - 1, frozenset({first_site}), prepare,
+            lambda _: self._stack_chunk(trace, resume, len(specs)), run)
+
     # ------------------------------------------------- shared-votes routing
-    def _routing_plan(self, trace: _CleanTrace, matcher, stage_index: int,
+    def _routing_spec(self, trace: _CleanTrace, matcher, stage_index: int,
                       *, consume_votes: bool):
         """The stage's :class:`~repro.nn.RoutingSpec` if the shared-votes
         fast path applies there, else ``None``.
@@ -875,8 +896,6 @@ class SweepEngine:
         stacked votes already differ per point, so their per-slice noise
         ranges no longer factor.
         """
-        if not self.shared_votes:
-            return None
         stages = self._stages()
         if not 0 <= stage_index < len(stages):
             return None
@@ -892,71 +911,64 @@ class SweepEngine:
                 return None
         return spec
 
-    def _run_route_shared(self, trace: _CleanTrace, specs, matcher,
-                          resume: int, first_site: InjectionSite,
-                          spec) -> list[float]:
-        """A whole NM curve through one shared-votes routing pass per batch.
+    def _route_chunk(self, stages, index: int, route, state, votes, deltas,
+                     points: int, matcher):
+        """Route ``points`` stacked NM points through routing stage
+        ``index`` over the shared ``votes`` plus their affine ``deltas``,
+        then replay the stages after it."""
+        layer = route.layer
+        routed = dynamic_routing_shared(
+            SharedVotes(votes, points=points, deltas=deltas),
+            iterations=layer.routing_iterations, layer_name=layer.name,
+            stack_when=matcher)
+        return self._replay(stages, index + 1,
+                            route.finish(state, routed, points))
+
+    def _shared_routing_plan(self, trace: _CleanTrace, specs, matcher,
+                             resume: int, first_site: InjectionSite,
+                             route) -> _ReplayPlan:
+        """A whole NM curve through one shared-votes routing pass per chunk.
 
         The clean input of the routing stage is read *un-tiled*:
         its vote tensor becomes the :class:`~repro.nn.SharedVotes` base,
-        noise on the vote tensor itself (when the target matches the
-        votes site) becomes common-random-number affine deltas, and the
-        NM-stacked routing state flows through
-        :func:`~repro.nn.dynamic_routing_shared` — bit-identical to the
-        generic NM-stacked replay for pure routing-group targets, and
-        equivalent up to float reordering when vote deltas are present.
-        The replay of the post-routing suffix is unchanged.
+        and noise on the vote tensor itself (when the target matches the
+        votes site) becomes common-random-number affine deltas —
+        bit-identical to the tiled plan for pure routing-group targets,
+        and equivalent up to float reordering when vote deltas are
+        present.
         """
-        self._fill(trace, resume - 1)
-        k = len(specs)
-        injector = StackedNoiseInjector(specs, seed=specs[0].seed,
-                                        uniform_sites={first_site})
-        registry = HookRegistry()
-        registry.add_transform(matcher, injector)
-        stages = self._stages()
-        layer = spec.layer
-        consume = (matcher(spec.votes_site)
-                   and spec.votes_site in trace.site_stage)
-        chunk = None
-        self.model.eval()
-        correct = np.zeros(k, dtype=np.int64)
-        with no_grad(), use_registry(registry):
-            for batch_index, batch in enumerate(trace.batches):
-                self._checkpoint()
-                injector.begin_batch(batch_index)
-                state = self._clean_state(trace, batch, resume - 1, stages,
-                                          matcher)
-                raw = (state if spec.votes_index is None
-                       else state[spec.votes_index])
-                base = layer.votes_to_u_hat(raw.data)
-                if chunk is None:  # sized on the first (largest) batch
-                    n, c_in, c_out, d, p = base.shape
-                    # Per-point routing-state transients: couplings +
-                    # logits (N, Cin, Cout, 1, P) and weighted sums +
-                    # capsules (N, Cout, D, P).
-                    routing_bytes = 8 * n * p * c_out * (c_in + d)
-                    chunk = self._stack_chunk(trace, resume + 1, k,
-                                              expansion=1,
-                                              floor_bytes=routing_bytes)
-                for start in range(0, k, chunk):
-                    stacked = specs[start:start + chunk]
-                    injector.set_specs(stacked)
-                    deltas = []
-                    if consume:
-                        deltas = [
-                            (coeffs, layer.votes_to_u_hat(delta))
-                            for coeffs, delta in injector.affine_deltas(
-                                spec.votes_site, raw.data)]
-                    routed = dynamic_routing_shared(
-                        SharedVotes(base, points=len(stacked), deltas=deltas),
-                        iterations=layer.routing_iterations,
-                        layer_name=layer.name, stack_when=matcher)
-                    output = self._replay(
-                        stages, resume + 1,
-                        spec.finish(state, routed, len(stacked)))
-                    correct[start:start + chunk] += self._count_correct(
-                        output, batch.labels, len(stacked))
-        return (correct / len(self.dataset)).tolist()
+        layer = route.layer
+        consume = (matcher(route.votes_site)
+                   and route.votes_site in trace.site_stage)
+
+        def prepare(batch, stages, injector):
+            state = self._clean_state(trace, batch, resume - 1, stages,
+                                      matcher)
+            raw = (state if route.votes_index is None
+                   else state[route.votes_index])
+            return state, raw, layer.votes_to_u_hat(raw.data)
+
+        def chunk(context):
+            n, c_in, c_out, d, p = context[2].shape
+            # Per-point routing-state transients: couplings + logits
+            # (N, Cin, Cout, 1, P) and weighted sums + capsules
+            # (N, Cout, D, P).
+            routing_bytes = 8 * n * p * c_out * (c_in + d)
+            return self._stack_chunk(trace, resume + 1, len(specs),
+                                     expansion=1, floor_bytes=routing_bytes)
+
+        def run(context, stages, injector, start, stop):
+            state, raw, votes = context
+            deltas = []
+            if consume:
+                deltas = [(coeffs, layer.votes_to_u_hat(delta))
+                          for coeffs, delta in injector.affine_deltas(
+                              route.votes_site, raw.data)]
+            return self._route_chunk(stages, resume, route, state, votes,
+                                     deltas, stop - start, matcher)
+
+        return _ReplayPlan("routing", resume - 1, frozenset({first_site}),
+                           prepare, chunk, run)
 
     # ------------------------------------------------------------ affine push
     def _can_push(self, trace: _CleanTrace, matching, resume: int,
@@ -979,8 +991,8 @@ class SweepEngine:
                       if trace.site_stage[site] == resume + 1)
         return in_resume == 1 and in_next == 0
 
-    def _run_pushed(self, trace: _CleanTrace, specs, matcher, resume: int,
-                    first_site: InjectionSite) -> list[float]:
+    def _push_plan(self, trace: _CleanTrace, specs, matcher, resume: int,
+                   first_site: InjectionSite) -> _ReplayPlan:
         """NM curve through the affine-factored next stage.
 
         The injected tensor is the clean output of stage ``resume``, so
@@ -992,78 +1004,55 @@ class SweepEngine:
         convolution entirely).
 
         When the affine stage feeds a dynamic-routing stage directly
-        (CapsNet's ``ClassCaps.votes`` → ``ClassCaps.route``), the basis
-        factorisation is handed to the shared-votes routing path as
-        :class:`~repro.nn.SharedVotes` deltas instead of being
+        (CapsNet's ``ClassCaps.votes`` → ``ClassCaps.route``), the bases
+        become :class:`~repro.nn.SharedVotes` deltas instead of being
         materialised: the routing pass then also reads the vote tensor
         once for the whole curve.
         """
-        self._fill(trace, resume)
-        k = len(specs)
-        injector = StackedNoiseInjector(specs, seed=specs[0].seed)
-        registry = HookRegistry()
-        registry.add_transform(matcher, injector)
-        stages = self._stages()
-        stage_fn = stages[resume + 1][1]
-        route_spec = self._routing_plan(trace, matcher, resume + 2,
-                                        consume_votes=False)
-        if route_spec is not None and route_spec.votes_index is not None:
-            route_spec = None  # factored state must be the bare vote tensor
-        chunk = self._stack_chunk(trace, resume + 1, k)
+        route = self._routing_spec(trace, matcher, resume + 2,
+                                   consume_votes=False)
+        if route is not None and route.votes_index is not None:
+            route = None  # factored state must be the bare vote tensor
         nms = np.array([spec.nm for spec in specs], np.float32)
         nas = np.array([spec.na for spec in specs], np.float32)
-        self.model.eval()
-        correct = np.zeros(k, dtype=np.int64)
-        with no_grad(), use_registry(registry):
-            for batch_index, batch in enumerate(trace.batches):
-                self._checkpoint()
-                injector.begin_batch(batch_index)
-                emitted = self._clean_state(trace, batch, resume, stages,
-                                            matcher)
-                value_range = np.float32(
-                    emitted.data.max() - emitted.data.min()
-                    if emitted.data.size else 0.0)
-                z = injector._base_draw(first_site, emitted.shape)
-                zero_response = stage_fn(Tensor(
-                    np.zeros_like(emitted.data)))
-                bases = [(_state_delta(stage_fn(Tensor(z)), zero_response),
-                          None)]
-                if nas.any():
-                    ones = np.ones_like(emitted.data)
-                    bases.append((_state_delta(stage_fn(Tensor(ones)),
-                                               zero_response), None))
-                base_next = self._clean_state(trace, batch, resume + 1,
-                                              stages, matcher)
-                if route_spec is not None:
-                    layer = route_spec.layer
-                    u_hat = layer.votes_to_u_hat(base_next.data)
-                    u_deltas = [layer.votes_to_u_hat(delta)
-                                for delta, _ in bases]
-                for start in range(0, k, chunk):
-                    stop = min(start + chunk, k)
-                    scaled = [(bases[0][0], nms[start:stop] * value_range)]
-                    if len(bases) > 1:
-                        scaled.append(
-                            (bases[1][0], nas[start:stop] * value_range))
-                    injector.set_specs(specs[start:stop])
-                    if route_spec is not None:
-                        routed = dynamic_routing_shared(
-                            SharedVotes(
-                                u_hat, points=stop - start,
-                                deltas=[(coeffs, delta) for delta, (_, coeffs)
-                                        in zip(u_deltas, scaled)]),
-                            iterations=layer.routing_iterations,
-                            layer_name=layer.name, stack_when=matcher)
-                        output = self._replay(
-                            stages, resume + 3,
-                            route_spec.finish(base_next, routed,
-                                              stop - start))
-                    else:
-                        state = _state_stack_affine(base_next, scaled)
-                        output = self._replay(stages, resume + 2, state)
-                    correct[start:stop] += self._count_correct(
-                        output, batch.labels, stop - start)
-        return (correct / len(self.dataset)).tolist()
+
+        def prepare(batch, stages, injector):
+            stage_fn = stages[resume + 1][1]
+            emitted = self._clean_state(trace, batch, resume, stages,
+                                        matcher)
+            value_range = np.float32(
+                emitted.data.max() - emitted.data.min()
+                if emitted.data.size else 0.0)
+            z = injector._base_draw(first_site, emitted.shape)
+            zero_response = stage_fn(Tensor(np.zeros_like(emitted.data)))
+            bases = [(nms * value_range,
+                      _state_delta(stage_fn(Tensor(z)), zero_response))]
+            if nas.any():
+                ones = np.ones_like(emitted.data)
+                bases.append((nas * value_range,
+                              _state_delta(stage_fn(Tensor(ones)),
+                                           zero_response)))
+            clean = self._clean_state(trace, batch, resume + 1, stages,
+                                      matcher)
+            if route is None:
+                return clean, None, bases
+            to_u_hat = route.layer.votes_to_u_hat
+            return clean, to_u_hat(clean.data), [
+                (scales, to_u_hat(delta)) for scales, delta in bases]
+
+        def run(context, stages, injector, start, stop):
+            clean, votes, bases = context
+            scaled = [(scales[start:stop], delta) for scales, delta in bases]
+            if route is None:
+                return self._replay(stages, resume + 2,
+                                    _state_stack_affine(clean, scaled))
+            return self._route_chunk(stages, resume + 2, route, clean, votes,
+                                     scaled, stop - start, matcher)
+
+        return _ReplayPlan(
+            "push" if route is None else "push+routing", resume, frozenset(),
+            prepare, lambda _: self._stack_chunk(trace, resume + 1,
+                                                 len(specs)), run)
 
     # ------------------------------------------------------------------ naive
     def _sweep_naive(self, targets, nm_values, na, seed, baseline_accuracy):

@@ -52,7 +52,7 @@ class ExperimentScale:
     """Evaluation-scale knobs shared by the accuracy-in-the-loop artifacts.
 
     ``execution`` carries the sweep execution knobs (batch size,
-    strategy, shared-votes fast path) — the single
+    strategy, fault tolerance, tenant) — the single
     :class:`~repro.core.sweep.ExecutionOptions` every consumer shares.
     """
 

@@ -50,8 +50,7 @@ def _direct_fig9(benchmark: str, scale: ExperimentScale,
         entry.model, test_set, groups=list(INJECTABLE_GROUPS),
         nm_values=scale.nm_values, na=0.0, seed=seed,
         batch_size=scale.execution.batch_size,
-        strategy=scale.execution.strategy,
-        shared_votes=scale.execution.shared_votes)
+        strategy=scale.execution.strategy)
     baseline = next(iter(curves.values())).baseline_accuracy
     return fig9.Fig9Result(benchmark, baseline, curves)
 
@@ -66,8 +65,7 @@ def _direct_fig10(benchmark: str, scale: ExperimentScale,
         entry.model, test_set, groups=list(fig10.NON_RESILIENT_GROUPS),
         layers=layers, nm_values=scale.nm_values, na=0.0, seed=seed,
         batch_size=scale.execution.batch_size,
-        strategy=scale.execution.strategy,
-        shared_votes=scale.execution.shared_votes)
+        strategy=scale.execution.strategy)
     baseline = next(iter(curves.values())).baseline_accuracy
     return fig10.Fig10Result(benchmark, baseline, curves, layers)
 

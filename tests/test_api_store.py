@@ -266,6 +266,48 @@ class TestLegacyWorkersOption:
             ExecutionOptions(workers=2)
 
 
+class TestLegacySharedVotesOption:
+    """Payloads written while ``ExecutionOptions`` still had a
+    ``shared_votes`` knob carry ``options.shared_votes``.  Either value
+    decodes to the default options: ``False`` only forced the generic
+    stacked replay, which measures the same accuracies.  ``cache_key``
+    still hashes the constant ``shared_votes: True``, so fingerprints
+    stay pinned."""
+
+    LEGACY_FINGERPRINT = TestLegacyWorkersOption.LEGACY_FINGERPRINT
+
+    @staticmethod
+    def _with_shared_votes(payload: dict, value: bool) -> dict:
+        payload = json.loads(json.dumps(payload))
+        payload["options"]["shared_votes"] = value
+        return payload
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_request_payload_decodes_to_default(self, request_, value):
+        legacy = self._with_shared_votes(request_.to_payload(), value)
+        decoded = AnalysisRequest.from_payload(legacy)
+        assert decoded == request_
+        assert "shared_votes" not in decoded.to_payload()["options"]
+        assert decoded.fingerprint() == self.LEGACY_FINGERPRINT
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_result_payload_decodes_to_default(self, service, request_,
+                                               value):
+        result = service.run(request_)
+        payload = result.to_payload()
+        payload["request"] = self._with_shared_votes(payload["request"],
+                                                     value)
+        decoded = AnalysisResult.from_payload(payload)
+        assert decoded == result
+        assert "shared_votes" not in \
+            decoded.to_payload()["request"]["options"]
+        assert decoded.request.fingerprint() == self.LEGACY_FINGERPRINT
+
+    def test_shared_votes_is_no_longer_a_knob(self):
+        with pytest.raises(TypeError):
+            ExecutionOptions(shared_votes=False)
+
+
 class TestCompletenessGuard:
     """ISSUE 5 satellite: the store refuses anything but complete
     results, so a cancellation-truncated shard can never be replayed as

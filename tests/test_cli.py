@@ -68,10 +68,17 @@ class TestSweepFlagRouting:
         assert exit_.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_shared_votes_rejected_for_table4(self, capsys):
-        assert main(["run", "table4", "--no-shared-votes"]) == 2
+    def test_shared_votes_flag_is_gone(self, capsys):
+        """The stacked plan is the engine's choice, not a flag."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "fig9", "--quick", "--no-shared-votes"])
+        assert exit_.value.code == 2
+        assert "--no-shared-votes" in capsys.readouterr().err
+
+    def test_strategy_rejected_for_table4(self, capsys):
+        assert main(["run", "table4", "--strategy", "cached"]) == 2
         err = capsys.readouterr().err
-        assert "table4" in err and "--no-shared-votes" in err
+        assert "table4" in err and "--strategy" in err
 
     def test_mixed_request_rejected(self, capsys):
         """One sweep + one non-sweep artifact: still a loud error (the

@@ -12,8 +12,8 @@ Contract (ISSUE 2 / ``repro.nn.routing``):
   reproduces the per-point injection bit-identically while the
   materialisation budget holds, and up to float reordering beyond it;
 * lazy stacking (the ``stack_when`` hint) never changes results;
-* the engine-level fast path (``shared_votes=True``) reproduces the
-  generic NM-stacked replay exactly on routing-resumed targets;
+* the engine's shared-votes plans reproduce the generic (tiled or
+  materialised-push) replay exactly on routing-resumed targets;
 * capsule-major votes (:meth:`ClassCaps.votes_to_u_hat`) route to the
   same bits as C-order votes at the production ClassCaps shapes, and
   every routing contraction returns a C-contiguous array;
@@ -275,47 +275,70 @@ def _routing_targets(model):
     return targets
 
 
-def _engine_accuracies(model, test_set, **kwargs):
+def _engine_accuracies(model, test_set, targets):
     engine = SweepEngine(model, test_set, batch_size=40,
-                         strategy="vectorized", **kwargs)
-    curves = engine.sweep(_routing_targets(model), NM_VALUES, seed=3)
+                         strategy="vectorized")
+    curves = engine.sweep(targets, NM_VALUES, seed=3)
     return {key: [point.accuracy for point in curve.points]
             for key, curve in curves.items()}
 
 
+def _record_plans(monkeypatch) -> list:
+    """Log the kind of every replay plan the engine selects."""
+    kinds = []
+    select = SweepEngine._select_plan
+
+    def recording(engine, *args):
+        plan = select(engine, *args)
+        kinds.append(plan.kind)
+        return plan
+
+    monkeypatch.setattr(SweepEngine, "_select_plan", recording)
+    return kinds
+
+
+def _force_generic(monkeypatch) -> None:
+    """No stage is a shared-votes routing entry: routing-resumed targets
+    take the tiled plan and the affine push materialises its stack."""
+    monkeypatch.setattr(SweepEngine, "_routing_spec",
+                        lambda *args, **kwargs: None)
+
+
 class TestEngineFastPath:
-    """End-to-end: the engine's shared-votes path vs the generic replay."""
+    """End-to-end: the engine's shared-votes plans vs the generic replay."""
 
     @pytest.mark.parametrize("setup", ["capsnet", "deepcaps"])
     def test_bit_identical_to_generic_vectorized(self, setup,
                                                  trained_capsnet,
                                                  trained_deepcaps,
-                                                 mnist_splits):
+                                                 mnist_splits, monkeypatch):
         if setup == "capsnet":
             model, test_set = trained_capsnet, mnist_splits[1].subset(80)
         else:
             model, test_set = trained_deepcaps
             test_set = test_set.subset(64)
-        fast = _engine_accuracies(model, test_set, shared_votes=True)
-        generic = _engine_accuracies(model, test_set, shared_votes=False)
+        targets = _routing_targets(model)
+        kinds = _record_plans(monkeypatch)
+        fast = _engine_accuracies(model, test_set, targets)
+        assert set(kinds) == {"routing"}
+        kinds.clear()
+        _force_generic(monkeypatch)
+        generic = _engine_accuracies(model, test_set, targets)
+        assert set(kinds) == {"tiled"}
         assert fast == generic
 
     def test_pushed_handoff_matches_generic(self, trained_capsnet,
-                                            mnist_splits):
+                                            mnist_splits, monkeypatch):
         """CapsNet activations@PrimaryCaps rides affine-push + shared
         routing; the handoff must reproduce the materialised push."""
         model, test_set = trained_capsnet, mnist_splits[1].subset(80)
         target = [(GROUP_ACTIVATIONS, "PrimaryCaps")]
-        results = {}
-        for shared_votes in (True, False):
-            engine = SweepEngine(model, test_set, batch_size=40,
-                                 strategy="vectorized",
-                                 shared_votes=shared_votes)
-            curves = engine.sweep(target, NM_VALUES, seed=3)
-            results[shared_votes] = [
-                point.accuracy
-                for point in curves[(GROUP_ACTIVATIONS, "PrimaryCaps")].points]
-        assert results[True] == results[False]
+        kinds = _record_plans(monkeypatch)
+        fast = _engine_accuracies(model, test_set, target)
+        _force_generic(monkeypatch)
+        generic = _engine_accuracies(model, test_set, target)
+        assert kinds == ["push+routing", "push"]
+        assert fast == generic
 
 
 # --------------------------------------------------- capsule-major votes

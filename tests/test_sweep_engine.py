@@ -140,6 +140,34 @@ class TestVectorizedEquivalence:
                 assert lone == pytest.approx(wide, abs=1e-9)
 
 
+class TestReplayPlans:
+    def test_golden_targets_select_every_plan(self, monkeypatch):
+        """The golden targets, plus CapsNet's activations@PrimaryCaps,
+        run every stacked replay plan: otherwise a byte-equal vectorized
+        golden could pass with one plan never run."""
+        from golden_common import (GOLDEN_BATCH, golden_capsnet,
+                                   golden_deepcaps, golden_targets)
+
+        selected = {}
+        select = SweepEngine._select_plan
+
+        def recording(engine, *args):
+            plan = select(engine, *args)
+            selected.setdefault(plan.kind, set()).add(
+                type(engine.model).__name__)
+            return plan
+
+        monkeypatch.setattr(SweepEngine, "_select_plan", recording)
+        for build, extra in ((golden_capsnet,
+                              [(GROUP_ACTIVATIONS, "PrimaryCaps")]),
+                             (golden_deepcaps, [])):
+            model, test_set = build()
+            _sweep(model, test_set, "vectorized",
+                   golden_targets(model) + extra, batch_size=GOLDEN_BATCH)
+        assert set(selected) == {"tiled", "routing", "push",
+                                 "push+routing"}, selected
+
+
 class TestEngineBehaviour:
     def test_analysis_entry_points_route_through_engine(self, capsnet_setup):
         model, test_set = capsnet_setup
