@@ -789,16 +789,16 @@ class SweepEngine:
         so the chunk is bounded by the memory the replayed suffix touches
         (:func:`~repro.nn.routing.stack_budget`).  ``expansion``
         covers the stage-sized arrays a replayed stage holds at once (tiled
-        input, output, noise draws, activation temporaries; not im2col,
-        which conv2d blocks to 1 MiB): at 1, steps24-deepcaps peak RSS
-        rose from 108 to 139-157 MB with no latency gain.  Shared-votes
-        routing passes 1 because its suffix is contraction-dominated, plus a
-        ``floor_bytes`` covering the stacked routing-state transients its
-        stage outputs cannot see.  The per-stage bytes come from the
-        observe pass, so stages whose output the trace does not store
-        count too.  Because the injector's base draw per (site, batch) is
-        reused by every chunk, chunking never changes the noise a given
-        point receives.
+        input, output, noise draws, activation temporaries; not conv2d's
+        patch matrix, whose per-call block buffers stay near 1 MiB): at 1,
+        steps24-deepcaps peak RSS rose from 108 to 139-157 MB with no
+        latency gain.  Shared-votes routing passes 1 because its suffix is
+        contraction-dominated, plus a ``floor_bytes`` covering the stacked
+        routing-state transients its stage outputs cannot see.  The
+        per-stage bytes come from the observe pass, so stages whose output
+        the trace does not store count too.  Because the injector's base
+        draw per (site, batch) is reused by every chunk, chunking never
+        changes the noise a given point receives.
         """
         budget = stack_budget()
         per_slice = max(trace.stage_bytes[max(resume - 1, 0):], default=0)

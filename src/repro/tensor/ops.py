@@ -1,8 +1,11 @@
 """Fused tensor primitives that need hand-written adjoints.
 
 The only heavyweight primitive required by CapsNet/DeepCaps inference is 2-D
-convolution; it is implemented once here via ``im2col`` + GEMM with an exact
-``col2im`` backward, and reused by every convolutional (capsule) layer.
+convolution; it is implemented once here as a patch-matrix (``im2col``) GEMM
+with an exact ``col2im`` backward, and reused by every convolutional (capsule)
+layer.  ``conv2d`` lowers its batch in blocks through buffers it allocates
+once per call: a block costs one copy into a zero-bordered padded buffer, one
+strided copy of that buffer's window view into the patch matrix, and the GEMM.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ __all__ = ["conv2d", "conv_output_size", "im2col", "col2im"]
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution along one axis."""
+    for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
+        if value < least:
+            raise ValueError(
+                f"convolution {name} must be >= {least}, got {value}")
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ValueError(
@@ -24,39 +31,47 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int,
-           padding: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Lower padded input patches to a GEMM-ready matrix.
+def _workspace(shape: tuple[int, int, int, int], kernel: tuple[int, int],
+               stride: int, padding: int, channels_last: bool, f: int):
+    """One float32 allocation that lowers ``shape = (N, C, H, W)`` images.
 
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-    kernel:
-        ``(KH, KW)`` patch size.
-
-    Returns
-    -------
-    cols:
-        Array of shape ``(N * OH * OW, C * KH * KW)``.
-    (OH, OW):
-        Output spatial dimensions.
+    Returns ``(interior, windows, cols, mat)``: the ``(N, C, H, W)``
+    interior of a zeroed padded buffer (NHWC when ``channels_last``) that
+    input blocks are written to; its read-only patch view, ``(N, OH, OW,
+    KH, KW, C)`` when ``channels_last``, else ``(N, OH, OW, C, KH, KW)``,
+    that one copy turns into the patch matrix ``cols``; and an ``f``-column
+    GEMM output.  One allocation, not three: with three, glibc's heap
+    layout raised steps24-deepcaps peak RSS by 11-29 MB.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
+    (n, c, h, w), (kh, kw) = shape, kernel
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    if padding:
-        # Hand-rolled zero padding: np.pad's generic path costs ~2-3x more
-        # and this runs on every convolution of every sweep replay.
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
-                          dtype=x.dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = x
-        x = padded
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, OH, OW, KH, KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols, dtype=np.float32), (oh, ow)
+    hp, wp, rows = h + 2 * padding, w + 2 * padding, n * oh * ow
+    cut = [n * c * hp * wp, n * c * hp * wp + rows * c * kh * kw]
+    padded, cols, mat = np.split(np.empty(cut[1] + rows * f, np.float32), cut)
+    padded[:] = 0
+    padded = (padded.reshape(n, hp, wp, c).transpose(0, 3, 1, 2)
+              if channels_last else padded.reshape(n, c, hp, wp))
+    sn, sc, sh, sw = padded.strides
+    taps = (((kh, kw, c), (sh, sw, sc)) if channels_last
+            else ((c, kh, kw), (sc, sh, sw)))
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, oh, ow) + taps[0], (sn, sh * stride, sw * stride)
+        + taps[1], writeable=False)
+    return (padded[:, :, padding:padding + h, padding:padding + w], windows,
+            cols.reshape(rows, c * kh * kw), mat.reshape(rows, f))
+
+
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int,
+           padding: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Lower the padded patches of ``x`` ``(N, C, H, W)`` to a GEMM-ready
+    float32 matrix ``(N * OH * OW, C * KH * KW)``, for ``kernel = (KH, KW)``;
+    returns it and the output spatial dimensions ``(OH, OW)``."""
+    interior, windows, cols, _ = _workspace(x.shape, kernel, stride, padding,
+                                            False, 0)
+    interior[...] = x
+    np.copyto(cols.reshape(windows.shape), windows)
+    return cols, windows.shape[1:3]
 
 
 #: Channel count at which conv2d switches to channels-last patch lowering.
@@ -70,34 +85,20 @@ _COLS_BLOCK_BYTES = 1 << 20
 _BLAS_SMALL_MACS = 100 ** 3
 
 
-def _im2col_nhwc(x: np.ndarray, kernel: tuple[int, int], stride: int,
-                 padding: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Channels-last variant of :func:`im2col`.
+def _conv_blocks(n: int, image_macs: int, f: int, grad: bool) -> list[int]:
+    """Image bounds of the blocks conv2d lowers a batch of ``n`` in.
 
-    Returns ``(N * OH * OW, KH * KW * C)`` patches (note the axis order —
-    the matching filter matrix must be reshaped channels-last too).  The
-    innermost C axis is memory-contiguous, so the patch copy runs in
-    C-float runs instead of KW-float runs.
+    Without ``grad``: near-equal blocks of whole images, as few as keep each
+    patch matrix within _COLS_BLOCK_BYTES but none with a GEMM of at most
+    _BLAS_SMALL_MACS, so each output is the same K-length dot product as in
+    one GEMM, bit for bit.  Backward needs the whole patch matrix: 1 block.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    if padding:
-        # The NCHW -> NHWC transpose is written straight into the zeroed
-        # padded buffer: one copy instead of two.
-        nhwc = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
-                        dtype=x.dtype)
-        nhwc[:, padding:padding + h, padding:padding + w] = x.transpose(
-            0, 2, 3, 1)
-    else:
-        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        nhwc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # (N, OH, OW, C, KH, KW) -> (N*OH*OW, KH*KW*C)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-        n * oh * ow, kh * kw * c)
-    return np.ascontiguousarray(cols, dtype=np.float32), (oh, ow)
+    blocks = 1
+    if not grad:
+        per_block = max(1, _COLS_BLOCK_BYTES // (4 * image_macs // f))
+        blocks = max(1, min(-(-n // per_block),
+                            n // (_BLAS_SMALL_MACS // image_macs + 1)))
+    return [n * i // blocks for i in range(blocks + 1)]
 
 
 #: Kernel taps at or above which the separable col2im path wins (measured:
@@ -180,34 +181,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     # transpose outweighs the granularity win, so those keep NCHW order.
     channels_last = c >= _NHWC_MIN_CHANNELS
     if channels_last:
-        lower = _im2col_nhwc
         w_mat = np.ascontiguousarray(
             weight.data.transpose(0, 2, 3, 1)).reshape(f, kh * kw * c)
     else:
-        lower = im2col
         w_mat = weight.data.reshape(f, c * kh * kw)
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    # Without a gradient: near-equal blocks of whole images, as few as keep
-    # each patch matrix within _COLS_BLOCK_BYTES but none with a GEMM of at
-    # most _BLAS_SMALL_MACS, so each output is the same K-length dot product
-    # as in one GEMM, bit for bit.  Backward needs the whole patch matrix.
-    blocks = 1
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
-        image_macs = oh * ow * c * kh * kw * f
-        per_block = max(1, _COLS_BLOCK_BYTES // (4 * image_macs // f))
-        blocks = max(1, min(-(-n // per_block),
-                            n // (_BLAS_SMALL_MACS // image_macs + 1)))
-    bounds = [n * i // blocks for i in range(blocks + 1)]
+    bounds = _conv_blocks(n, oh * ow * c * kh * kw * f, f, is_grad_enabled()
+                          and any(p.requires_grad for p in parents))
+    # One workspace for the largest block, reused by every block.
+    most = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    interior, windows, cols, mat = _workspace(
+        (most, c, h, w), (kh, kw), stride, padding, channels_last, f)
     # Contiguous NCHW, which every consumer would otherwise re-copy.
     out_data = np.empty((n, f, oh, ow), dtype=np.float32)
     for lo, hi in zip(bounds, bounds[1:]):
-        cols, _ = lower(x.data[lo:hi], (kh, kw), stride, padding)
-        out_mat = cols @ w_mat.T
+        rows = (hi - lo) * oh * ow
+        interior[:hi - lo] = x.data[lo:hi]
+        np.copyto(cols[:rows].reshape(windows[:hi - lo].shape),
+                  windows[:hi - lo])
+        np.matmul(cols[:rows], w_mat.T, out=mat[:rows])
         if bias is not None:
-            out_mat += bias.data
-        out_data[lo:hi] = out_mat.reshape(-1, oh, ow, f).transpose(0, 3, 1, 2)
+            # In place, then the NCHW copy: an add fused into that copy
+            # runs a strided ufunc loop, slower on every steps24 shape tried.
+            mat[:rows] += bias.data
+        out_data[lo:hi] = mat[:rows].reshape(-1, oh, ow, f).transpose(
+            0, 3, 1, 2)
 
     out = Tensor._result(out_data, parents, "conv2d")
     if not out.requires_grad:

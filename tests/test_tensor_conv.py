@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from repro.tensor import Tensor, conv2d, conv_output_size, im2col, ops
+from repro.tensor import (Tensor, col2im, conv2d, conv_output_size, im2col,
+                          ops)
 from tests.conftest import numeric_gradient
 
 
@@ -140,35 +141,63 @@ class TestCol2im:
                    method="magic")
 
 
-def _unfused_conv(x, w, b, stride, padding):
-    """conv2d's inference numerics with separate copies: the NHWC
-    transpose, then the pad, then the bias added to the GEMM output in
-    place, then the NHWC -> NCHW copy."""
+def _oracle_lowering(x, w, stride, padding):
+    """The patch and filter matrices of conv2d from whole-batch copies: a
+    fresh zeroed padded array (NHWC from 8 channels on, else NCHW), its
+    ``sliding_window_view`` windows, then their transpose-``reshape`` copy."""
     n, c, h, w_in = x.shape
     f, _, kh, kw = w.shape
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w_in, kw, stride, padding)
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w_in + 2 * padding - kw) // stride + 1
+    inner = (slice(padding, padding + h), slice(padding, padding + w_in))
     if c >= 8:
-        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-        if padding:
-            padded = np.zeros((n, h + 2 * padding, w_in + 2 * padding, c),
-                              dtype=nhwc.dtype)
-            padded[:, padding:padding + h, padding:padding + w_in] = nhwc
-            nhwc = padded
+        padded = np.zeros((n, h + 2 * padding, w_in + 2 * padding, c),
+                          dtype=np.float32)
+        padded[(slice(None),) + inner] = x.transpose(0, 2, 3, 1)
         windows = np.lib.stride_tricks.sliding_window_view(
-            nhwc, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = np.ascontiguousarray(
-            windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-                n * oh * ow, kh * kw * c), dtype=np.float32)
+            padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = windows.transpose(0, 1, 2, 4, 5, 3)
         w_mat = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(f, -1)
     else:
-        cols, _ = im2col(x, (kh, kw), stride, padding)
+        padded = np.zeros((n, c, h + 2 * padding, w_in + 2 * padding),
+                          dtype=np.float32)
+        padded[(slice(None), slice(None)) + inner] = x
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = windows.transpose(0, 2, 3, 1, 4, 5)
         w_mat = w.reshape(f, -1)
+    cols = np.ascontiguousarray(cols.reshape(n * oh * ow, c * kh * kw))
+    return cols, w_mat, (oh, ow)
+
+
+def _oracle_conv(x, w, b, stride, padding):
+    """conv2d's numerics as separate whole-batch steps: the oracle lowering,
+    ``cols @ w_mat.T``, the bias added to the GEMM output in place, then the
+    NHWC -> NCHW copy."""
+    cols, w_mat, (oh, ow) = _oracle_lowering(x, w, stride, padding)
     out = cols @ w_mat.T
     if b is not None:
         out += b
     return np.ascontiguousarray(
-        out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
+        out.reshape(len(x), oh, ow, len(w)).transpose(0, 3, 1, 2))
+
+
+def _oracle_grads(x, w, grad, stride, padding):
+    """Input, weight and bias gradients of the oracle convolution for the
+    upstream gradient ``grad``, by the same products as conv2d's backward."""
+    n, c, h, w_in = x.shape
+    f, _, kh, kw = w.shape
+    cols, w_mat, (oh, ow) = _oracle_lowering(x, w, stride, padding)
+    grad_mat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
+    dw = grad_mat.T @ cols
+    dcols = grad_mat @ w_mat
+    if c >= 8:
+        dw = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+        dcols = dcols.reshape(n, oh, ow, kh, kw, c).transpose(0, 5, 1, 2, 3, 4)
+    else:
+        dcols = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    dx = col2im(dcols, (h, w_in), stride, padding)
+    return dx, dw.reshape(w.shape), grad_mat.sum(axis=0)
 
 
 @pytest.mark.parametrize("channels", [3, 8, 16])
@@ -184,10 +213,106 @@ def test_conv2d_bitwise_matches_unfused_copies(channels, stride, padding,
     b = rng.normal(size=12).astype(np.float32) if with_bias else None
     out = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
                  stride=stride, padding=padding).data
-    expected = _unfused_conv(x, w, b, stride, padding)
+    expected = _oracle_conv(x, w, b, stride, padding)
     assert out.flags.c_contiguous
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+#: Geometries ``(C, H, F, K, stride, padding)`` of every DeepCaps conv a
+#: Steps 2+4 sweep runs (3x3, padding 1, square inputs), each with the
+#: stacked batch sizes its replays reach besides 96.
+DEEPCAPS_CONVS = [
+    ((1, 28, 16, 3, 1, 1), ()),
+    ((16, 14, 16, 3, 1, 1), ()),
+    ((16, 14, 32, 3, 2, 1), ()),
+    ((16, 28, 16, 3, 2, 1), ()),
+    ((32, 2, 32, 3, 1, 1), (192, 288, 384)),
+    ((32, 4, 32, 3, 1, 1), (192, 288, 384)),
+    ((32, 4, 32, 3, 2, 1), (192, 288, 384)),
+    ((32, 7, 32, 3, 1, 1), (288,)),
+    ((32, 7, 32, 3, 2, 1), (288,)),
+    ((8, 2, 32, 3, 1, 1), (384, 768, 1152, 1536)),
+]
+#: CapsNet Conv1 and PrimaryCaps: 9x9 kernels without padding, one on each
+#: lowering order.
+CAPSNET_CONVS = [((1, 28, 32, 9, 1, 0), ()), ((32, 20, 32, 9, 2, 0), ())]
+ORACLE_CASES = [(batch,) + geometry
+                for geometry, stacked in DEEPCAPS_CONVS + CAPSNET_CONVS
+                for batch in (1, 7, 96, 97) + stacked]
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("batch,channels,size,filters,kernel,stride,padding",
+                         ORACLE_CASES)
+def test_conv2d_bitwise_matches_oracle_on_model_shapes(
+        batch, channels, size, filters, kernel, stride, padding, with_bias):
+    """Every conv shape of the Steps 2+4 DeepCaps sweep and of CapsNet, at
+    batch sizes that cut into one block, several and uneven ones, equals
+    the whole-batch oracle byte for byte."""
+    rng = np.random.default_rng(batch * 1000 + channels * 10 + size)
+    x = rng.normal(size=(batch, channels, size, size)).astype(np.float32)
+    w = rng.normal(size=(filters, channels, kernel, kernel)).astype(
+        np.float32)
+    b = rng.normal(size=filters).astype(np.float32) if with_bias else None
+    out = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                 stride=stride, padding=padding).data
+    expected = _oracle_conv(x, w, b, stride, padding)
+    assert out.flags.c_contiguous and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("channels,stride,padding", [
+    (3, 1, 1), (3, 2, 0), (16, 1, 1), (16, 2, 0),
+])
+def test_conv2d_grad_path_matches_oracle(channels, stride, padding):
+    """A graph-building call: output and the input, weight and bias
+    gradients equal the oracle's byte for byte."""
+    rng = np.random.default_rng(channels + stride * 10 + padding)
+    x_data = rng.normal(size=(7, channels, 9, 9)).astype(np.float32)
+    w_data = rng.normal(size=(12, channels, 3, 3)).astype(np.float32)
+    b_data = rng.normal(size=12).astype(np.float32)
+    x = Tensor(x_data, requires_grad=True)
+    w = Tensor(w_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, padding=padding)
+    grad = rng.normal(size=out.shape).astype(np.float32)
+    (out * Tensor(grad)).sum().backward()
+    expected = _oracle_conv(x_data, w_data, b_data, stride, padding)
+    assert out.data.tobytes() == expected.tobytes()
+    dx, dw, db = _oracle_grads(x_data, w_data, grad, stride, padding)
+    assert x.grad.tobytes() == dx.astype(np.float32).tobytes()
+    assert w.grad.tobytes() == dw.astype(np.float32).tobytes()
+    assert b.grad.tobytes() == db.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("stride", {"stride": 0}), ("stride", {"stride": -1}),
+    ("padding", {"padding": -1}),
+])
+def test_conv2d_rejects_bad_stride_and_padding(name, kwargs):
+    """A stride below 1 or a negative padding is a ValueError naming the
+    argument, from conv2d, conv_output_size and im2col alike."""
+    x = np.zeros((1, 3, 6, 6), dtype=np.float32)
+    stride, padding = kwargs.get("stride", 1), kwargs.get("padding", 0)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        conv2d(Tensor(x), Tensor(np.zeros((2, 3, 3, 3))), **kwargs)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        conv_output_size(6, 3, stride, padding)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        im2col(x, (3, 3), stride, padding)
+
+
+@pytest.mark.parametrize("channels", [3, 16])
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_conv2d_empty_batch(channels, requires_grad):
+    x = Tensor(np.zeros((0, channels, 6, 6)), requires_grad=requires_grad)
+    w = Tensor(np.ones((4, channels, 3, 3)))
+    out = conv2d(x, w, Tensor(np.ones(4)), padding=1)
+    assert out.shape == (0, 4, 6, 6) and out.data.dtype == np.float32
+    if requires_grad:
+        out.sum().backward()
+        assert x.grad.shape == x.data.shape
 
 
 def _image_macs(channels, size, kernel, stride, padding, filters):
@@ -198,12 +323,16 @@ def _image_macs(channels, size, kernel, stride, padding, filters):
 
 @pytest.fixture
 def lowered_blocks(monkeypatch):
-    """Image counts of the blocks conv2d lowers, in call order."""
+    """Image counts of the blocks conv2d plans its batch in, in call order."""
     sizes = []
-    for name in ("im2col", "_im2col_nhwc"):
-        lower = getattr(ops, name)
-        monkeypatch.setattr(ops, name, lambda x, *a, _lower=lower: (
-            sizes.append(len(x)), _lower(x, *a))[1])
+    plan = ops._conv_blocks
+
+    def spy(*args):
+        bounds = plan(*args)
+        sizes.extend(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        return bounds
+
+    monkeypatch.setattr(ops, "_conv_blocks", spy)
     return sizes
 
 
